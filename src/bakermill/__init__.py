@@ -12,16 +12,6 @@ from .dynamics import (
     trace_lines,
     weighted_utilities,
 )
-from .flow import (
-    Arc,
-    FlowInfeasibleError,
-    FlowNetwork,
-    FlowResult,
-    build_potential_network,
-    extract_baker_profile,
-    min_cost_flow,
-    potential_scale,
-)
 from .model import (
     GameError,
     Instance,

@@ -45,8 +45,15 @@ EXIT_ERROR = 1
 EXIT_REFUSED = 2
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: cannot decode as text ({exc.reason} at byte {exc.start})") from None
+
+
 def _load_instance(path: str):
-    return parse_instance(Path(path).read_text())
+    return parse_instance(_read_text(path))
 
 
 def _require_unweighted(obj) -> Instance:
@@ -90,7 +97,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     instance = _require_unweighted(_load_instance(args.instance))
-    profile = parse_profile(Path(args.profile).read_text(), instance)
+    profile = parse_profile(_read_text(args.profile), instance)
     validate_profile(instance, profile)
     names = instance.locations
     baker_ok, baker_witness = is_baker_equilibrium(instance, profile)
@@ -137,11 +144,11 @@ def _cmd_dynamics(args) -> int:
     obj = _load_instance(args.instance)
     winstance = _as_weighted(obj)
     if args.start:
-        start = parse_profile(Path(args.start).read_text(), winstance)
+        start = parse_profile(_read_text(args.start), winstance)
     else:
         start = _default_start(winstance)
     if args.script:
-        script = parse_script(Path(args.script).read_text(), winstance)
+        script = parse_script(_read_text(args.script), winstance)
         trace = run_dynamics(
             winstance, start, policy="scripted",
             step_budget=max(args.budget, len(script)), script=script,
@@ -214,7 +221,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_welfare(args) -> int:
     instance = _require_unweighted(_load_instance(args.instance))
-    profile = parse_profile(Path(args.profile).read_text(), instance)
+    profile = parse_profile(_read_text(args.profile), instance)
     validate_profile(instance, profile)
     from .model import baker_utility, miller_utility, occupancy
 
@@ -303,7 +310,7 @@ def main(argv=None) -> int:
     except (GameError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except FileNotFoundError as exc:
+    except OSError as exc:  # missing, a directory, unreadable, or unwritable
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -37,6 +37,10 @@ def format_fraction(value) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Instance:
     """A game instance: named locations, a miller count, per-baker ranges.
@@ -54,14 +58,18 @@ class Instance:
         locations = tuple(self.locations)
         if not locations:
             raise InvalidInstanceError("an instance needs at least one location")
+        if not all(isinstance(name, str) for name in locations):
+            raise InvalidInstanceError("location names must be strings")
         if len(set(locations)) != len(locations):
             raise InvalidInstanceError("location names must be unique")
-        if not isinstance(self.num_millers, int) or self.num_millers < 1:
+        if not _is_int(self.num_millers) or self.num_millers < 1:
             raise InvalidInstanceError("num_millers must be a positive integer")
         if not self.bakers:
             raise InvalidInstanceError("an instance needs at least one baker")
         canonical = []
         for b, rng in enumerate(self.bakers):
+            if not all(_is_int(loc) for loc in rng):
+                raise InvalidInstanceError(f"baker {b} has a non-integer location index")
             rng = tuple(sorted(set(rng)))
             if not rng:
                 raise InvalidInstanceError(f"baker {b} has an empty range")

@@ -204,7 +204,7 @@ def example_instance(tag: str) -> ExampleInstance:
     fig1  three locations, two drawn states, only one of them stable
     fig2  two equilibria with different coverage (3 vs 4)
     fig3  greedy concentration walkthrough (order x, z, y)
-    fig6  the flow rebalancing example (two bakers, millers 1/2/0)
+    fig6  the phase-3 rebalancing example (two bakers, millers 1/2/0)
     fig7  weighted instance admitting an improving-move cycle
     """
     if tag == "fig1":

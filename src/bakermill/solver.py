@@ -4,17 +4,18 @@ Phase 1 concentrates bakers: repeatedly grab the location whose range
 contains the most still-unassigned bakers, park them all there, and remove
 the location. Phase 2 drops millers in one at a time, each at a best
 response. Phase 3 rebalances the bakers to the profile maximizing the
-harmonic potential for the fixed miller placement, via min-cost flow. The
-result is a pure Nash equilibrium, and phase 3 never disturbs the millers'
-stability.
+harmonic potential for the fixed miller placement, by successive shortest
+augmenting paths on the location graph. The result is a pure Nash
+equilibrium, and phase 3 never disturbs the millers' stability.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
-from .flow import build_potential_network, extract_baker_profile, min_cost_flow
 from .model import (
     GameError,
     Instance,
@@ -101,10 +102,105 @@ def phase2_insert_millers(instance: Instance, baker_locations, order: GreedyOrde
 
 
 def phase3_rebalance(instance: Instance, miller_locations) -> tuple[int, ...]:
-    """Baker profile maximizing the potential for the given miller placement."""
-    network, _ = build_potential_network(instance, miller_locations)
-    result = min_cost_flow(network, instance.num_bakers)
-    return extract_baker_profile(instance, result)
+    """Baker profile maximizing the potential for the given miller placement.
+
+    This is successive shortest augmenting paths with node potentials (Ahuja,
+    Magnanti and Orlin, *Network Flows*, ch. 9) on the network source ->
+    bakers -> permissible locations -> sink, where the k-th baker at location
+    l earns millers_l/k and the Dijkstra heap breaks ties by node id (source,
+    bakers, locations, sink). Each path places one more baker and shifts a
+    chain of placed ones. The search runs on locations and the sink alone,
+    without changing a single decision of the search on the full network:
+
+    - No path passes through the sink, so a location's arcs into the sink
+      fill in order of k. Location l keeps one live arc, worth its next
+      baker's share, and the sink one residual arc back, worth its last.
+    - Every placed baker has the potential of her location, and every
+      unplaced one that of the source, 0. Reduced distances are never
+      negative and bakers' ids precede locations', so the unplaced bakers
+      pop first, in id order, and a location's parked bakers pop right
+      after it. A baker matters only as the first one, by id, to offer an
+      arc to a location, and paths are read back through that first baker.
+    - Shares are scaled by L = lcm(1..min(n, max degree + 1)). No location
+      ever holds more bakers than its degree, so every share is an exact
+      integer, and a uniform scale changes no comparison.
+    """
+    num_bakers, num_locations = instance.num_bakers, instance.num_locations
+    millers_at = [0] * num_locations
+    for loc in miller_locations:
+        if not 0 <= loc < num_locations:
+            raise GameError(f"miller placed at unknown location index {loc}")
+        millers_at[loc] += 1
+    ranges = instance.bakers
+    holders: list[list[int]] = [[] for _ in range(num_locations)]  # ascending ids
+    for b, rng in enumerate(ranges):
+        for loc in rng:
+            holders[loc].append(b)
+    scale = math.lcm(*range(1, min(num_bakers, max(map(len, holders)) + 1) + 1))
+    share = [m * scale for m in millers_at]
+
+    sink = num_locations
+    at: list = [None] * num_bakers
+    parked = [0] * num_locations
+    unplaced = [len(h) for h in holders]   # unplaced bakers that may go to l
+    # links[l][t]: bakers parked at l that may move on to t
+    links: list[dict[int, int]] = [{} for _ in range(num_locations)]
+    # Over the empty flow every location a baker can use lies at distance 0.
+    # The sink's start shifts only its own distances in the first search,
+    # where it has no residual arc out, so any start gives the same choices.
+    pot = [0] * (sink + 1)
+
+    for _ in range(num_bakers):
+        dist: list = [None] * (sink + 1)
+        prev: list = [None] * (sink + 1)   # None: reached from an unplaced baker
+        heap = [(-pot[loc], loc) for loc in range(num_locations) if unplaced[loc]]
+        for d, loc in heap:
+            dist[loc] = d
+        heapify(heap)
+        while heap:
+            d, u = heappop(heap)
+            if d > dist[u]:
+                continue
+            base = d + pot[u]
+            if u < sink:
+                arcs = [(sink, base - share[u] // (parked[u] + 1))]
+                arcs += [(t, base) for t in links[u]]
+            else:
+                arcs = [(loc, base + share[loc] // c) for loc, c in enumerate(parked) if c]
+            for v, nd in arcs:
+                nd -= pot[v]
+                if dist[v] is None or nd < dist[v]:
+                    dist[v] = nd
+                    prev[v] = u
+                    heappush(heap, (nd, v))
+        for v, dv in enumerate(dist):
+            if dv is not None:
+                pot[v] += dv
+
+        # Walk the path back from the sink. Each location on it was entered
+        # by the first baker, by id, who was unplaced or parked at the
+        # location before it; she moves on, and the locations stay distinct.
+        loc = prev[sink]
+        while loc is not None:
+            src = prev[loc]
+            baker = next(b for b in holders[loc] if at[b] == src)
+            if src is None:
+                for t in ranges[baker]:
+                    unplaced[t] -= 1
+            else:
+                parked[src] -= 1
+                for t in ranges[baker]:
+                    if t != src:
+                        links[src][t] -= 1
+                        if not links[src][t]:
+                            del links[src][t]
+            parked[loc] += 1
+            for t in ranges[baker]:
+                if t != loc:
+                    links[loc][t] = links[loc].get(t, 0) + 1
+            at[baker] = loc
+            loc = src
+    return tuple(at)
 
 
 def compute_equilibrium(instance: Instance) -> SolveReport:

@@ -1,4 +1,10 @@
-"""Integral min-cost flow and the assignment network behind baker rebalancing.
+"""Reference rebalancer for tests: general min-cost flow on the full network.
+
+This is the generic successive-shortest-path solver that
+``bakermill.solver.phase3_rebalance`` specializes. It builds every one of
+the n*q parallel sink arcs and starts from a Bellman-Ford pass, so it is
+slow, but it shares no code with the library's rebalancer and serves as
+the ground truth for its exact profiles.
 
 For a fixed miller placement, the baker profile maximizing the harmonic
 potential is an integral min-cost flow: one unit per baker, routed through
@@ -13,7 +19,7 @@ import heapq
 import math
 from dataclasses import dataclass
 
-from .model import GameError, Instance
+from bakermill.model import GameError, Instance
 
 
 class FlowInfeasibleError(GameError):

@@ -1,27 +1,26 @@
-"""Min-cost flow kernel and the potential-maximizing assignment network.
+"""The test-side reference min-cost flow and its potential network.
 
-The fig6 numbers (scale, arc costs, optimal cost) are worked out by hand;
-the random checks compare the flow optimum against brute-force potential
-maximization, which exercises negative costs and the node potentials.
+``reference_flow`` is the ground truth the rebalancer is compared against
+in test_rebalance.py, so its own checks stay: the fig6 numbers (scale, arc
+costs, optimal cost) are worked out by hand, and small general networks
+exercise negative costs, parallel arcs and infeasible demands.
 """
 
 from fractions import Fraction
 
 import pytest
 
-from bakermill import (
+from bakermill import example_instance
+from conftest import FLOW_SEED, fresh_rng, random_instance
+from reference_flow import (
     Arc,
     FlowInfeasibleError,
     FlowNetwork,
-    brute_potential_max,
     build_potential_network,
-    example_instance,
     extract_baker_profile,
     min_cost_flow,
     potential_scale,
-    potential_value,
 )
-from conftest import FLOW_SEED, fresh_rng, random_instance
 
 
 def test_potential_scale_is_lcm():
@@ -131,34 +130,3 @@ def test_flow_conservation_and_capacity():
                 assert net_out[node] == -inst.num_bakers
             else:
                 assert net_out[node] == 0
-
-
-def test_flow_matches_brute_force_potential():
-    rng = fresh_rng(FLOW_SEED + 2)
-    for _ in range(300):
-        inst = random_instance(rng)
-        millers = tuple(
-            sorted(rng.randrange(inst.num_locations) for _ in range(inst.num_millers))
-        )
-        network, scale = build_potential_network(inst, millers)
-        result = min_cost_flow(network, inst.num_bakers)
-        flow_phi = Fraction(-result.total_cost, scale)
-        best_phi, witness = brute_potential_max(inst, millers)
-        assert flow_phi == best_phi
-        profile = extract_baker_profile(inst, result)
-        assert potential_value(inst, millers, profile) == best_phi
-        assert potential_value(inst, millers, witness) == best_phi
-
-
-def test_extracted_profile_respects_ranges():
-    rng = fresh_rng(FLOW_SEED + 3)
-    for _ in range(100):
-        inst = random_instance(rng)
-        millers = tuple(
-            rng.randrange(inst.num_locations) for _ in range(inst.num_millers)
-        )
-        network, _ = build_potential_network(inst, millers)
-        profile = extract_baker_profile(inst, min_cost_flow(network, inst.num_bakers))
-        assert len(profile) == inst.num_bakers
-        for baker, loc in enumerate(profile):
-            assert loc in inst.bakers[baker]

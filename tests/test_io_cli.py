@@ -308,6 +308,22 @@ def test_cli_missing_file_is_an_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["directory", "not-utf8"])
+def test_cli_unreadable_input_is_a_one_line_error(bad, fig2_file, tmp_path, capsys):
+    if bad == "directory":
+        path = tmp_path / "a-directory"
+        path.mkdir()
+    else:
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"version": 1, "locations": ["\xe9t\xe9"]}')
+    assert main(["solve", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert main(["verify", fig2_file, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_unknown_command_exits_with_usage(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -52,6 +52,10 @@ def test_instance_canonicalizes_ranges():
         (("x",), 1, ((),)),  # empty range
         (("x",), 1, ((1,),)),  # index out of range
         (("x",), 1, ((-1,),)),
+        (("x",), True, ((0,),)),  # bool miller count
+        (("x", "y"), 1, ((True,),)),  # bool location index
+        (("x",), 1, ((0.0,),)),  # float location index
+        ((0, "y"), 1, ((0,),)),  # location name not a string
     ],
 )
 def test_invalid_instances_rejected(locations, millers, bakers):

@@ -1,0 +1,120 @@
+"""Phase 3: the rebalancer reaches the potential maximum, exactly as the
+general min-cost flow in reference_flow.py would.
+
+The brute-force checks pin the potential; the differential checks pin the
+profile itself, tie-breaks included, against the reference flow on the
+full network (every parallel sink arc, a Bellman-Ford start).
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bakermill import (
+    GameError,
+    Instance,
+    brute_potential_max,
+    compute_equilibrium,
+    example_instance,
+    phase1_concentrate,
+    phase2_insert_millers,
+    phase3_rebalance,
+    potential_value,
+)
+from conftest import FLOW_SEED, fresh_rng, random_instance
+from reference_flow import build_potential_network, extract_baker_profile, min_cost_flow
+
+DIFFERENTIAL_SEED = FLOW_SEED + 4
+SMALL_TRIALS = 2_000
+MEDIUM_TRIALS = 200
+
+
+def reference_profile(inst, millers):
+    network, _ = build_potential_network(inst, millers)
+    return extract_baker_profile(inst, min_cost_flow(network, inst.num_bakers))
+
+
+def test_fig6_rebalance_finds_potential_maximizer():
+    # millers x:1, y:2, z:0; baker 0 may use x or y, baker 1 only z. Baker 0
+    # earns 2 at y against 1 at x, baker 1 adds 0 at z: potential 2.
+    ex = example_instance("fig6")
+    profile = phase3_rebalance(ex.instance, ex.miller_profile)
+    assert profile == (1, 2)
+    assert potential_value(ex.instance, ex.miller_profile, profile) == Fraction(2)
+
+
+def test_rebalance_matches_brute_force_potential():
+    rng = fresh_rng(FLOW_SEED + 2)
+    for _ in range(300):
+        inst = random_instance(rng)
+        millers = tuple(
+            sorted(rng.randrange(inst.num_locations) for _ in range(inst.num_millers))
+        )
+        profile = phase3_rebalance(inst, millers)
+        best_phi, witness = brute_potential_max(inst, millers)
+        assert potential_value(inst, millers, profile) == best_phi
+        assert potential_value(inst, millers, witness) == best_phi
+
+
+def test_rebalanced_profile_respects_ranges():
+    rng = fresh_rng(FLOW_SEED + 3)
+    for _ in range(100):
+        inst = random_instance(rng)
+        millers = tuple(
+            rng.randrange(inst.num_locations) for _ in range(inst.num_millers)
+        )
+        profile = phase3_rebalance(inst, millers)
+        assert len(profile) == inst.num_bakers
+        for baker, loc in enumerate(profile):
+            assert loc in inst.bakers[baker]
+
+
+def test_miller_at_unknown_location_is_a_game_error():
+    inst = example_instance("fig6").instance
+    for millers in [(0, 1, 3), (-1, 0, 0)]:
+        with pytest.raises(GameError, match="unknown location"):
+            phase3_rebalance(inst, millers)
+
+
+def test_rebalance_matches_reference_flow_profiles():
+    # Random millers include empty locations and locations no baker can
+    # reach; solver millers are the placements phase 3 sees in practice.
+    rng = fresh_rng(DIFFERENTIAL_SEED)
+    shapes = [(SMALL_TRIALS, dict(max_bakers=7, max_locations=5, max_millers=4)),
+              (MEDIUM_TRIALS, dict(max_bakers=40, max_locations=12, max_millers=8))]
+    mismatches = []
+    for trials, shape in shapes:
+        for trial in range(trials):
+            inst = random_instance(rng, **shape)
+            if trial % 2:
+                greedy, phase1 = phase1_concentrate(inst)
+                millers = phase2_insert_millers(inst, phase1, greedy)
+            else:
+                millers = tuple(
+                    rng.randrange(inst.num_locations) for _ in range(inst.num_millers)
+                )
+            if phase3_rebalance(inst, millers) != reference_profile(inst, millers):
+                mismatches.append((inst, millers))
+    assert mismatches == []
+
+
+@st.composite
+def instances_with_millers(draw):
+    num_locations = draw(st.integers(1, 4))
+    location = st.integers(0, num_locations - 1)
+    ranges = draw(st.lists(st.sets(location, min_size=1), min_size=1, max_size=5))
+    millers = draw(st.lists(location, min_size=1, max_size=3))
+    names = tuple("abcd"[:num_locations])
+    return Instance(names, len(millers), tuple(tuple(r) for r in ranges)), tuple(millers)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(instances_with_millers())
+def test_rebalance_reaches_potential_maximum_property(case):
+    inst, millers = case
+    profile = phase3_rebalance(inst, millers)
+    best_phi, _ = brute_potential_max(inst, millers)
+    assert potential_value(inst, millers, profile) == best_phi
+    assert compute_equilibrium(inst).is_ne
