@@ -15,6 +15,7 @@ from .model import (
     format_fraction,
     is_baker_equilibrium,
     is_miller_equilibrium,
+    occupancy,
     validate_profile,
 )
 from .oracle import BudgetExceededError, oracle_report
@@ -223,25 +224,17 @@ def _cmd_welfare(args) -> int:
     instance = _require_unweighted(_load_instance(args.instance))
     profile = parse_profile(_read_text(args.profile), instance)
     validate_profile(instance, profile)
-    from .model import baker_utility, miller_utility, occupancy
-
     occ = occupancy(instance, profile)
-    baker_sum = sum(
-        (baker_utility(instance, profile, b) for b in range(instance.num_bakers)),
-        start=0,
-    )
-    miller_sum = sum(
-        (miller_utility(instance, profile, m) for m in range(instance.num_millers)),
-        start=0,
-    )
-    covered_millered = sum(
-        occ.bakers_at[loc] for loc in range(instance.num_locations) if occ.millers_at[loc]
-    )
+    counts = list(zip(occ.bakers_at, occ.millers_at))
+    # the b bakers at a location share its m millers, so their utilities m/b
+    # sum to m there, and the millers' b/m sum to b: both sums are integers
+    baker_sum = sum(m for b, m in counts if b)
+    miller_sum = sum(b for b, m in counts if m)
     print("coverage:", coverage(instance, profile))
     print("baker utility sum:", format_fraction(baker_sum))
     print("miller utility sum:", format_fraction(miller_sum))
     print("total welfare:", format_fraction(baker_sum + miller_sum))
-    print("bakers at millered locations:", covered_millered)
+    print("bakers at millered locations:", miller_sum)
     return EXIT_OK
 
 

@@ -15,7 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import GameError, Instance, StrategyProfile
+from .model import (
+    GameError,
+    Instance,
+    StrategyProfile,
+    _is_int,
+    improving_moves,
+    location_sums,
+)
 
 
 class ScriptError(GameError):
@@ -35,7 +42,7 @@ class WeightedInstance:
             raise GameError("need exactly one weight per baker")
         if len(self.miller_weights) != self.instance.num_millers:
             raise GameError("need exactly one weight per miller")
-        if any(w < 1 for w in self.baker_weights + self.miller_weights):
+        if not all(_is_int(w) and w >= 1 for w in self.baker_weights + self.miller_weights):
             raise GameError("weights must be positive integers")
 
     @classmethod
@@ -78,15 +85,20 @@ class DynamicsTrace:
     revisit_index: int | None
 
 
-def _weight_sums(winstance: WeightedInstance, profile: StrategyProfile):
-    num_locations = winstance.instance.num_locations
-    baker_sum = [0] * num_locations
-    miller_sum = [0] * num_locations
-    for b, loc in enumerate(profile.baker_locations):
-        baker_sum[loc] += winstance.baker_weights[b]
-    for m, loc in enumerate(profile.miller_locations):
-        miller_sum[loc] += winstance.miller_weights[m]
-    return baker_sum, miller_sum
+def _sides(winstance: WeightedInstance, profile: StrategyProfile):
+    """Millers then bakers, each as (kind, positions, weights, targets, own
+    weight sums, other side's weight sums) for `improving_moves`."""
+    instance = winstance.instance
+    num_locations = instance.num_locations
+    baker_sum = location_sums(num_locations, profile.baker_locations, winstance.baker_weights)
+    miller_sum = location_sums(num_locations, profile.miller_locations, winstance.miller_weights)
+    anywhere = (range(num_locations),) * instance.num_millers
+    return (
+        ("miller", profile.miller_locations, winstance.miller_weights, anywhere,
+         miller_sum, baker_sum),
+        ("baker", profile.baker_locations, winstance.baker_weights, instance.bakers,
+         baker_sum, miller_sum),
+    )
 
 
 def weighted_utilities(winstance: WeightedInstance, profile: StrategyProfile):
@@ -94,7 +106,9 @@ def weighted_utilities(winstance: WeightedInstance, profile: StrategyProfile):
 
     Returns ``(baker_utilities, miller_utilities)`` indexed by agent id.
     """
-    baker_sum, miller_sum = _weight_sums(winstance, profile)
+    num_locations = winstance.instance.num_locations
+    baker_sum = location_sums(num_locations, profile.baker_locations, winstance.baker_weights)
+    miller_sum = location_sums(num_locations, profile.miller_locations, winstance.miller_weights)
     bakers = tuple(
         Fraction(miller_sum[loc], baker_sum[loc]) for loc in profile.baker_locations
     )
@@ -119,18 +133,10 @@ def state_signature(winstance: WeightedInstance, profile: StrategyProfile):
     )
 
 
-def _miller_move(winstance, baker_sum, miller_sum, m, loc, target):
-    w = winstance.miller_weights[m]
-    before = Fraction(baker_sum[loc], miller_sum[loc])
-    after = Fraction(baker_sum[target], miller_sum[target] + w)
-    return before, after
-
-
-def _baker_move(winstance, baker_sum, miller_sum, b, loc, target):
-    w = winstance.baker_weights[b]
-    before = Fraction(miller_sum[loc], baker_sum[loc])
-    after = Fraction(miller_sum[target], baker_sum[target] + w)
-    return before, after
+def _move(kind, agent, origin, target, weight, own, other) -> Move:
+    before = Fraction(other[origin], own[origin])
+    after = Fraction(other[target], own[target] + weight)
+    return Move(kind, agent, origin, target, before, after)
 
 
 def step_improving(
@@ -153,34 +159,16 @@ def step_improving(
     if policy not in ("first", "best"):
         raise GameError(f"unknown policy {policy!r}")
 
-    instance = winstance.instance
-    baker_sum, miller_sum = _weight_sums(winstance, profile)
     best_move = None
     best_gain = None
-    for m, loc in enumerate(profile.miller_locations):
-        for target in range(instance.num_locations):
-            if target == loc:
-                continue
-            before, after = _miller_move(winstance, baker_sum, miller_sum, m, loc, target)
-            if after > before:
-                move = Move("miller", m, loc, target, before, after)
-                if policy == "first":
-                    return move
-                gain = after - before
-                if best_gain is None or gain > best_gain:
-                    best_move, best_gain = move, gain
-    for b, loc in enumerate(profile.baker_locations):
-        for target in instance.bakers[b]:
-            if target == loc:
-                continue
-            before, after = _baker_move(winstance, baker_sum, miller_sum, b, loc, target)
-            if after > before:
-                move = Move("baker", b, loc, target, before, after)
-                if policy == "first":
-                    return move
-                gain = after - before
-                if best_gain is None or gain > best_gain:
-                    best_move, best_gain = move, gain
+    for kind, positions, weights, targets, own, other in _sides(winstance, profile):
+        for agent, origin, target in improving_moves(positions, weights, targets, own, other):
+            move = _move(kind, agent, origin, target, weights[agent], own, other)
+            if policy == "first":
+                return move
+            gain = move.utility_after - move.utility_before
+            if best_gain is None or gain > best_gain:
+                best_move, best_gain = move, gain
     return best_move
 
 
@@ -195,12 +183,10 @@ def _apply_scripted(winstance, profile, scripted: ScriptedMove) -> Move:
     if scripted.origin == scripted.target:
         raise ScriptError("a move must change location")
 
-    if scripted.kind == "miller":
-        positions = profile.miller_locations
-        weights = winstance.miller_weights
-    else:
-        positions = profile.baker_locations
-        weights = winstance.baker_weights
+    miller_side, baker_side = _sides(winstance, profile)
+    kind, positions, weights, _, own, other = (
+        miller_side if scripted.kind == "miller" else baker_side
+    )
     agent = None
     for a, loc in enumerate(positions):
         if loc == scripted.origin and (scripted.weight is None or weights[a] == scripted.weight):
@@ -216,21 +202,14 @@ def _apply_scripted(winstance, profile, scripted: ScriptedMove) -> Move:
             f"baker {agent} may not move to {names[scripted.target]!r}"
         )
 
-    baker_sum, miller_sum = _weight_sums(winstance, profile)
-    if scripted.kind == "miller":
-        before, after = _miller_move(
-            winstance, baker_sum, miller_sum, agent, scripted.origin, scripted.target
-        )
-    else:
-        before, after = _baker_move(
-            winstance, baker_sum, miller_sum, agent, scripted.origin, scripted.target
-        )
-    if after <= before:
+    origin, target, weight = scripted.origin, scripted.target, weights[agent]
+    move = _move(kind, agent, origin, target, weight, own, other)
+    if not any(improving_moves((origin,), (weight,), ((target,),), own, other)):
         raise ScriptError(
-            f"{scripted.kind} move {names[scripted.origin]!r} -> "
-            f"{names[scripted.target]!r} is not improving ({before} -> {after})"
+            f"{kind} move {names[origin]!r} -> {names[target]!r} is not improving "
+            f"({move.utility_before} -> {move.utility_after})"
         )
-    return Move(scripted.kind, agent, scripted.origin, scripted.target, before, after)
+    return move
 
 
 def _apply(profile: StrategyProfile, move: Move) -> StrategyProfile:

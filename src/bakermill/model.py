@@ -135,42 +135,65 @@ def _loc_name(instance: Instance, loc: int) -> str:
     return f"index {loc}"
 
 
-def _counts(instance: Instance, profile: StrategyProfile) -> tuple[list[int], list[int]]:
-    bakers_at = [0] * instance.num_locations
-    millers_at = [0] * instance.num_locations
-    for loc in profile.baker_locations:
-        bakers_at[loc] += 1
-    for loc in profile.miller_locations:
-        millers_at[loc] += 1
-    return bakers_at, millers_at
+def location_sums(num_locations: int, positions, weights=None) -> list[int]:
+    """Per-location weight sum of one side's agents (head counts when
+    ``weights`` is None)."""
+    sums = [0] * num_locations
+    if weights is None:
+        for loc in positions:
+            sums[loc] += 1
+    else:
+        for loc, w in zip(positions, weights):
+            sums[loc] += w
+    return sums
+
+
+def improving_moves(positions, weights, targets, own, other):
+    """Yield every strictly improving unilateral move of one side.
+
+    An agent's utility is ``other[l] / own[l]`` at her location ``l``, where
+    ``own`` and ``other`` are the per-location weight sums of her side
+    (herself included) and of the opposite side. Moving with weight ``w``
+    from ``l`` to ``t`` is strictly improving exactly when
+    ``other[t] * own[l] > other[l] * (own[t] + w)``. ``weights`` None means
+    unit weights, the plain game; ``targets[a]`` lists agent ``a``'s allowed
+    locations in ascending order. Moves come as ``(agent, origin, target)``
+    in (agent id, target index) order.
+    """
+    for a, loc in enumerate(positions):
+        w = 1 if weights is None else weights[a]
+        own_here, other_here = own[loc], other[loc]
+        for t in targets[a]:
+            if t != loc and other[t] * own_here > other_here * (own[t] + w):
+                yield a, loc, t
 
 
 def occupancy(instance: Instance, profile: StrategyProfile) -> Occupancy:
-    bakers_at, millers_at = _counts(instance, profile)
-    return Occupancy(tuple(bakers_at), tuple(millers_at))
+    return Occupancy(
+        tuple(location_sums(instance.num_locations, profile.baker_locations)),
+        tuple(location_sums(instance.num_locations, profile.miller_locations)),
+    )
 
 
 def baker_utility(instance: Instance, profile: StrategyProfile, baker_id: int) -> Fraction:
     """Millers over bakers at the baker's own location, exact."""
     if not 0 <= baker_id < instance.num_bakers:
         raise GameError(f"no baker with id {baker_id}")
-    bakers_at, millers_at = _counts(instance, profile)
     loc = profile.baker_locations[baker_id]
-    return Fraction(millers_at[loc], bakers_at[loc])
+    return Fraction(profile.miller_locations.count(loc), profile.baker_locations.count(loc))
 
 
 def miller_utility(instance: Instance, profile: StrategyProfile, miller_id: int) -> Fraction:
     """Bakers over millers at the miller's own location, exact."""
     if not 0 <= miller_id < instance.num_millers:
         raise GameError(f"no miller with id {miller_id}")
-    bakers_at, millers_at = _counts(instance, profile)
     loc = profile.miller_locations[miller_id]
-    return Fraction(bakers_at[loc], millers_at[loc])
+    return Fraction(profile.baker_locations.count(loc), profile.miller_locations.count(loc))
 
 
 def coverage(instance: Instance, profile: StrategyProfile) -> int:
     """Number of bakers whose location hosts at least one miller."""
-    _, millers_at = _counts(instance, profile)
+    millers_at = location_sums(instance.num_locations, profile.miller_locations)
     return sum(1 for loc in profile.baker_locations if millers_at[loc] > 0)
 
 
@@ -194,12 +217,8 @@ def potential_value(instance, miller_locations, baker_locations) -> Fraction:
     millers held fixed, a unilateral baker move changes the potential by
     exactly her utility change, so its maximizers are baker equilibria.
     """
-    bakers_at = [0] * instance.num_locations
-    millers_at = [0] * instance.num_locations
-    for loc in baker_locations:
-        bakers_at[loc] += 1
-    for loc in miller_locations:
-        millers_at[loc] += 1
+    bakers_at = location_sums(instance.num_locations, baker_locations)
+    millers_at = location_sums(instance.num_locations, miller_locations)
     total = Fraction(0)
     for loc in range(instance.num_locations):
         if millers_at[loc] and bakers_at[loc]:
@@ -213,15 +232,12 @@ def is_baker_equilibrium(instance, profile):
     Returns ``(True, None)`` or ``(False, (baker_id, target_location))``
     with the first improving deviation in (baker id, location index) order.
     """
-    bakers_at, millers_at = _counts(instance, profile)
-    for b, loc in enumerate(profile.baker_locations):
-        # current utility millers_at[loc]/bakers_at[loc]; after moving to t
-        # it would be millers_at[t]/(bakers_at[t]+1)
-        for t in instance.bakers[b]:
-            if t == loc:
-                continue
-            if millers_at[t] * bakers_at[loc] > millers_at[loc] * (bakers_at[t] + 1):
-                return False, (b, t)
+    bakers_at = location_sums(instance.num_locations, profile.baker_locations)
+    millers_at = location_sums(instance.num_locations, profile.miller_locations)
+    for b, _, t in improving_moves(
+        profile.baker_locations, None, instance.bakers, bakers_at, millers_at
+    ):
+        return False, (b, t)
     return True, None
 
 
@@ -230,13 +246,13 @@ def is_miller_equilibrium(instance, profile):
 
     Returns ``(True, None)`` or ``(False, (miller_id, target_location))``.
     """
-    bakers_at, millers_at = _counts(instance, profile)
-    for m, loc in enumerate(profile.miller_locations):
-        for t in range(instance.num_locations):
-            if t == loc:
-                continue
-            if bakers_at[t] * millers_at[loc] > bakers_at[loc] * (millers_at[t] + 1):
-                return False, (m, t)
+    bakers_at = location_sums(instance.num_locations, profile.baker_locations)
+    millers_at = location_sums(instance.num_locations, profile.miller_locations)
+    anywhere = (range(instance.num_locations),) * instance.num_millers
+    for m, _, t in improving_moves(
+        profile.miller_locations, None, anywhere, millers_at, bakers_at
+    ):
+        return False, (m, t)
     return True, None
 
 

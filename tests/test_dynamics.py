@@ -10,8 +10,12 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bakermill import (
+    GameError,
+    Instance,
     ScriptError,
     ScriptedMove,
     StrategyProfile,
@@ -19,6 +23,8 @@ from bakermill import (
     baker_utility,
     example_instance,
     fig7_cycle_script,
+    is_baker_equilibrium,
+    is_miller_equilibrium,
     is_nash_equilibrium,
     miller_utility,
     run_dynamics,
@@ -307,3 +313,100 @@ def test_weighted_instance_validation():
         WeightedInstance(ex.instance, (1, 1, 1), (1, 1))  # wrong baker count
     with pytest.raises(Exception):
         WeightedInstance(ex.instance, (1, 1, 1, 0), (1, 1))  # zero weight
+    for baker_weights, miller_weights in [
+        ((1, 1, 1, 1.5), (1, 1)),
+        ((1, 1, 1, 2.0), (1, 1)),
+        ((1, 1, True, 1), (1, 1)),
+        ((1, 1, 1, 1), (True, 1)),
+        ((1, 1, 1, 1), (1, "2")),
+    ]:
+        with pytest.raises(GameError):
+            WeightedInstance(ex.instance, baker_weights, miller_weights)
+    with pytest.raises(GameError):
+        WeightedInstance(Instance(("x", "y"), 1, ((0, 1),)), (1.5,), (True,))
+
+
+# ------------------------------------------- improving moves against references
+
+
+@st.composite
+def instances_with_profiles(draw):
+    num_locations = draw(st.integers(1, 4))
+    location = st.integers(0, num_locations - 1)
+    ranges = draw(st.lists(st.sets(location, min_size=1), min_size=1, max_size=5))
+    ranges = tuple(tuple(sorted(r)) for r in ranges)
+    millers = tuple(draw(st.lists(location, min_size=1, max_size=3)))
+    bakers = tuple(draw(st.sampled_from(r)) for r in ranges)
+    inst = Instance(tuple("abcd"[:num_locations]), len(millers), ranges)
+    return inst, StrategyProfile(bakers, millers)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(instances_with_profiles())
+def test_uniform_weights_move_like_plain_game(case):
+    inst, prof = case
+    move = step_improving(WeightedInstance.uniform(inst), prof, policy="first")
+    assert (move is None) == is_nash_equilibrium(inst, prof)
+    miller_ok, miller_witness = is_miller_equilibrium(inst, prof)
+    baker_ok, baker_witness = is_baker_equilibrium(inst, prof)
+    if not miller_ok:
+        assert (move.kind, move.agent, move.target) == ("miller", *miller_witness)
+    elif not baker_ok:
+        assert (move.kind, move.agent, move.target) == ("baker", *baker_witness)
+
+
+def reference_improving_moves(winstance, profile):
+    """Brute-force scan of every strictly improving move, utilities compared
+    as Fractions: millers then bakers by id, targets ascending. Each move is
+    (kind, agent, origin, target, before, after)."""
+    inst = winstance.instance
+    baker_sum = [0] * inst.num_locations
+    miller_sum = [0] * inst.num_locations
+    for b, loc in enumerate(profile.baker_locations):
+        baker_sum[loc] += winstance.baker_weights[b]
+    for m, loc in enumerate(profile.miller_locations):
+        miller_sum[loc] += winstance.miller_weights[m]
+    candidates = []
+    for m, loc in enumerate(profile.miller_locations):
+        w = winstance.miller_weights[m]
+        for t in range(inst.num_locations):
+            before = Fraction(baker_sum[loc], miller_sum[loc])
+            after = Fraction(baker_sum[t], miller_sum[t] + w)
+            candidates.append(("miller", m, loc, t, before, after))
+    for b, loc in enumerate(profile.baker_locations):
+        w = winstance.baker_weights[b]
+        for t in inst.bakers[b]:
+            before = Fraction(miller_sum[loc], baker_sum[loc])
+            after = Fraction(miller_sum[t], baker_sum[t] + w)
+            candidates.append(("baker", b, loc, t, before, after))
+    return [c for c in candidates if c[2] != c[3] and c[5] > c[4]]
+
+
+def test_weighted_moves_match_reference_scan():
+    # pins the scan order of "first" and the strict tie rule of "best"
+    # (the earliest of several equal largest gains wins)
+    rng = fresh_rng(DYNAMICS_SEED + 2)
+    best_ties = 0
+    for _ in range(1500):
+        inst = random_instance(rng, max_bakers=8, max_locations=5, max_millers=4)
+        w = WeightedInstance(
+            inst,
+            tuple(rng.randint(1, 5) for _ in range(inst.num_bakers)),
+            tuple(rng.randint(1, 5) for _ in range(inst.num_millers)),
+        )
+        prof = random_profile(rng, inst)
+        improving = reference_improving_moves(w, prof)
+        expected = {"first": None, "best": None}
+        if improving:
+            gains = [after - before for *_, before, after in improving]
+            expected["first"] = improving[0]
+            expected["best"] = improving[gains.index(max(gains))]
+            best_ties += gains.count(max(gains)) > 1
+        for policy, want in expected.items():
+            move = step_improving(w, prof, policy=policy)
+            got = None if move is None else (
+                move.kind, move.agent, move.origin, move.target,
+                move.utility_before, move.utility_after,
+            )
+            assert got == want
+    assert best_ties >= 100
