@@ -22,6 +22,7 @@ from .model import (
     _is_int,
     improving_moves,
     location_sums,
+    validate_profile,
 )
 
 
@@ -140,22 +141,13 @@ def _move(kind, agent, origin, target, weight, own, other) -> Move:
 
 
 def step_improving(
-    winstance: WeightedInstance,
-    profile: StrategyProfile,
-    policy: str = "first",
-    scripted: ScriptedMove | None = None,
+    winstance: WeightedInstance, profile: StrategyProfile, policy: str = "first"
 ) -> Move | None:
     """One improving move under the given policy, or None when stable.
 
     The fixed scan order for "first" and for tie-breaking in "best" is
     millers by id, then bakers by id, targets by ascending location index.
-    Policy "scripted" validates and resolves the move passed in
-    ``scripted`` instead of searching.
     """
-    if policy == "scripted":
-        if scripted is None:
-            raise GameError("policy 'scripted' needs a scripted move")
-        return _apply_scripted(winstance, profile, scripted)
     if policy not in ("first", "best"):
         raise GameError(f"unknown policy {policy!r}")
 
@@ -231,11 +223,13 @@ def run_dynamics(
 ) -> DynamicsTrace:
     """Iterate improving moves until stability, a revisit, or the budget.
 
+    A start that does not fit the instance raises InvalidProfileError.
     With ``policy="scripted"`` the moves come from ``script`` (at most
     ``step_budget`` of them); a non-improving or unresolvable scripted move
     raises ScriptError naming the offending step. A revisit means the
     current canonical state equals an earlier one exactly.
     """
+    validate_profile(winstance.instance, start)
     if step_budget < 1:
         raise GameError("step budget must be positive")
     if policy == "scripted":

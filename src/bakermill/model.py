@@ -58,8 +58,8 @@ class Instance:
         locations = tuple(self.locations)
         if not locations:
             raise InvalidInstanceError("an instance needs at least one location")
-        if not all(isinstance(name, str) for name in locations):
-            raise InvalidInstanceError("location names must be strings")
+        if not all(isinstance(name, str) and name for name in locations):
+            raise InvalidInstanceError("location names must be nonempty strings")
         if len(set(locations)) != len(locations):
             raise InvalidInstanceError("location names must be unique")
         if not _is_int(self.num_millers) or self.num_millers < 1:

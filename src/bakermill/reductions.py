@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .dynamics import ScriptedMove, WeightedInstance
-from .model import GameError, Instance, StrategyProfile
+from .model import GameError, Instance, StrategyProfile, _is_int
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,10 @@ class CoverageProblem:
     k: int
 
     def __post_init__(self):
-        sets = tuple(tuple(sorted(set(s))) for s in self.sets)
+        raw = [tuple(s) for s in self.sets]
+        if not all(_is_int(item) for s in raw for item in s):
+            raise GameError("coverage items must be integers")
+        sets = tuple(tuple(sorted(set(s))) for s in raw)
         if not sets:
             raise GameError("a coverage problem needs at least one set")
         if any(not s for s in sets):

@@ -22,6 +22,7 @@ from .model import (
     StrategyProfile,
     coverage,
     is_nash_equilibrium,
+    location_sums,
     potential_value,
 )
 
@@ -45,37 +46,46 @@ class SolveReport:
     is_ne: bool
 
 
-def phase1_concentrate(instance: Instance) -> tuple[GreedyOrder, tuple[int, ...]]:
-    """Greedy concentration; ties go to the lowest location index."""
-    range_sets = [set(rng) for rng in instance.bakers]
-    remaining = list(range(instance.num_locations))
-    unassigned = set(range(instance.num_bakers))
-    assignment: list = [None] * instance.num_bakers
-    order: list[int] = []
-    counts: list[int] = []
-    for _ in range(instance.num_locations):
-        best = None
-        best_count = -1
-        for loc in remaining:  # ascending, so ties keep the lowest index
-            c = sum(1 for b in unassigned if loc in range_sets[b])
-            if c > best_count:
-                best, best_count = loc, c
-        order.append(best)
-        counts.append(best_count)
-        grabbed = [b for b in unassigned if best in range_sets[b]]
-        for b in grabbed:
-            assignment[b] = best
-        unassigned.difference_update(grabbed)
-        remaining.remove(best)
-    return GreedyOrder(tuple(order), tuple(counts)), tuple(assignment)
+def _holders(instance: Instance) -> list[list[int]]:
+    """For each location, the ids of the bakers that may use it, ascending."""
+    holders: list[list[int]] = [[] for _ in range(instance.num_locations)]
+    for b, rng in enumerate(instance.bakers):
+        for loc in rng:
+            holders[loc].append(b)
+    return holders
 
 
-def _order_from_profile(instance: Instance, bakers_at: list[int]) -> GreedyOrder:
-    # For phase-1 profiles this reconstructs the greedy order exactly:
-    # the pick sequence is non-increasing in final counts and breaks count
-    # ties toward the lower location index.
-    order = sorted(range(instance.num_locations), key=lambda loc: (-bakers_at[loc], loc))
+def _greedy_order(bakers_at) -> GreedyOrder:
+    # Phase 1's picks, read off its per-location counts: each pick grabs at
+    # least as many bakers as any later one, and a later pick with the same
+    # count has a higher index, so the picks are the locations sorted by
+    # (-count, index). Locations that grab nobody come last, by index.
+    order = sorted(range(len(bakers_at)), key=lambda loc: (-bakers_at[loc], loc))
     return GreedyOrder(tuple(order), tuple(bakers_at[loc] for loc in order))
+
+
+def phase1_concentrate(instance: Instance) -> tuple[GreedyOrder, tuple[int, ...]]:
+    """Greedy concentration; ties go to the lowest location index.
+
+    Each location keeps a live count of its unassigned bakers. A pick takes
+    the highest count (``max`` returns the first, so the lowest index), and
+    every baker it grabs decrements each location in her range.
+    """
+    holders = _holders(instance)
+    live = [len(h) for h in holders]
+    grabbed = [0] * instance.num_locations
+    assignment: list = [None] * instance.num_bakers
+    while True:
+        best = max(range(instance.num_locations), key=live.__getitem__)
+        if not live[best]:
+            break
+        grabbed[best] = live[best]
+        for b in holders[best]:
+            if assignment[b] is None:
+                assignment[b] = best
+                for loc in instance.bakers[b]:
+                    live[loc] -= 1
+    return _greedy_order(grabbed), tuple(assignment)
 
 
 def phase2_insert_millers(instance: Instance, baker_locations, order: GreedyOrder | None = None) -> tuple[int, ...]:
@@ -84,11 +94,9 @@ def phase2_insert_millers(instance: Instance, baker_locations, order: GreedyOrde
     Each miller lands on the location maximizing bakers/(millers+1); among
     maximizers, the one earliest in the greedy order wins.
     """
-    bakers_at = [0] * instance.num_locations
-    for loc in baker_locations:
-        bakers_at[loc] += 1
+    bakers_at = location_sums(instance.num_locations, baker_locations)
     if order is None:
-        order = _order_from_profile(instance, bakers_at)
+        order = _greedy_order(bakers_at)
     millers_at = [0] * instance.num_locations
     placements = []
     for _ in range(instance.num_millers):
@@ -126,16 +134,12 @@ def phase3_rebalance(instance: Instance, miller_locations) -> tuple[int, ...]:
       integer, and a uniform scale changes no comparison.
     """
     num_bakers, num_locations = instance.num_bakers, instance.num_locations
-    millers_at = [0] * num_locations
     for loc in miller_locations:
         if not 0 <= loc < num_locations:
             raise GameError(f"miller placed at unknown location index {loc}")
-        millers_at[loc] += 1
+    millers_at = location_sums(num_locations, miller_locations)
     ranges = instance.bakers
-    holders: list[list[int]] = [[] for _ in range(num_locations)]  # ascending ids
-    for b, rng in enumerate(ranges):
-        for loc in rng:
-            holders[loc].append(b)
+    holders = _holders(instance)
     scale = math.lcm(*range(1, min(num_bakers, max(map(len, holders)) + 1) + 1))
     share = [m * scale for m in millers_at]
 
@@ -203,21 +207,24 @@ def phase3_rebalance(instance: Instance, miller_locations) -> tuple[int, ...]:
     return tuple(at)
 
 
-def compute_equilibrium(instance: Instance) -> SolveReport:
-    """Run all three phases and report the equilibrium with its artifacts."""
-    greedy, phase1 = phase1_concentrate(instance)
-    millers = phase2_insert_millers(instance, phase1, order=greedy)
-    rebalanced = phase3_rebalance(instance, millers)
-    profile = StrategyProfile(rebalanced, millers)
+def _report(instance: Instance, greedy: GreedyOrder, phase1, bakers, millers) -> SolveReport:
+    profile = StrategyProfile(bakers, millers)
     return SolveReport(
         profile=profile,
         greedy=greedy,
         phase1_bakers=phase1,
         potential_before=potential_value(instance, millers, phase1),
-        potential_after=potential_value(instance, millers, rebalanced),
+        potential_after=potential_value(instance, millers, bakers),
         coverage=coverage(instance, profile),
         is_ne=is_nash_equilibrium(instance, profile),
     )
+
+
+def compute_equilibrium(instance: Instance) -> SolveReport:
+    """Run all three phases and report the equilibrium with its artifacts."""
+    greedy, phase1 = phase1_concentrate(instance)
+    millers = phase2_insert_millers(instance, phase1, order=greedy)
+    return _report(instance, greedy, phase1, phase3_rebalance(instance, millers), millers)
 
 
 def stable_from_location_set(instance: Instance, keep) -> SolveReport:
@@ -246,11 +253,7 @@ def stable_from_location_set(instance: Instance, keep) -> SolveReport:
         phase1 = tuple(rng[0] for rng in instance.bakers)
         millers = (keep[0],) * instance.num_millers
         greedy = GreedyOrder(tuple(keep), (0,) * len(keep))
-        profile = StrategyProfile(phase1, millers)
-        phi = potential_value(instance, millers, phase1)
-        return SolveReport(profile, greedy, phase1, phi, phi,
-                           coverage(instance, profile),
-                           is_nash_equilibrium(instance, profile))
+        return _report(instance, greedy, phase1, phase1, millers)
 
     sub = Instance(
         locations=tuple(instance.locations[loc] for loc in keep),
@@ -271,22 +274,16 @@ def stable_from_location_set(instance: Instance, keep) -> SolveReport:
                 full[b] = instance.bakers[b][0]
         return tuple(full)
 
-    bakers_full = complete(sub_report.profile.baker_locations)
-    phase1_full = complete(sub_report.phase1_bakers)
-    millers_full = tuple(keep[loc] for loc in sub_report.profile.miller_locations)
-    profile = StrategyProfile(bakers_full, millers_full)
     greedy = GreedyOrder(
         tuple(keep[loc] for loc in sub_report.greedy.order),
         sub_report.greedy.counts,
     )
-    return SolveReport(
-        profile=profile,
-        greedy=greedy,
-        phase1_bakers=phase1_full,
-        potential_before=potential_value(instance, millers_full, phase1_full),
-        potential_after=potential_value(instance, millers_full, bakers_full),
-        coverage=coverage(instance, profile),
-        is_ne=is_nash_equilibrium(instance, profile),
+    return _report(
+        instance,
+        greedy,
+        complete(sub_report.phase1_bakers),
+        complete(sub_report.profile.baker_locations),
+        tuple(keep[loc] for loc in sub_report.profile.miller_locations),
     )
 
 

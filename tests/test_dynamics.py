@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from bakermill import (
     GameError,
     Instance,
+    InvalidProfileError,
     ScriptError,
     ScriptedMove,
     StrategyProfile,
@@ -281,6 +282,23 @@ def test_unweighted_best_response_converges():
         trace = run_dynamics(w, start, policy="best", step_budget=500)
         assert trace.status == "converged-to-NE"
         assert is_nash_equilibrium(inst, trace.states[-1])
+
+
+def test_run_dynamics_rejects_a_start_that_does_not_fit():
+    w = WeightedInstance.uniform(Instance(("x", "y", "z"), 1, ((0,), (0, 1))))
+    for start, needle in [
+        (StrategyProfile((2, 2), (0,)), "baker 0 may not choose"),  # outside her range
+        (StrategyProfile((0,), (0,)), "expected 2 baker locations"),
+        (StrategyProfile((0, 1), (5,)), "unknown location index 5"),
+    ]:
+        with pytest.raises(InvalidProfileError, match=needle):
+            run_dynamics(w, start)
+
+
+def test_step_improving_knows_only_first_and_best():
+    ex = example_instance("fig2")
+    with pytest.raises(GameError, match="unknown policy 'scripted'"):
+        step_improving(WeightedInstance.uniform(ex.instance), ex.profiles["left"], "scripted")
 
 
 def test_step_budget_halts_run(fig7):

@@ -5,6 +5,8 @@ exit codes follow the convention 0 ok, 1 error, 2 oracle refusal.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bakermill import (
     EXAMPLE_TAGS,
@@ -72,6 +74,46 @@ def test_digest_is_stable_and_discriminating():
     b = Instance(a.locations, a.num_millers + 1, a.bakers)
     assert instance_digest(a) != instance_digest(b)
     assert len(instance_digest(a)) == 16
+
+
+@st.composite
+def instances(draw):
+    names = draw(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=4, unique=True))
+    location = st.integers(0, len(names) - 1)
+    ranges = draw(st.lists(st.lists(location, min_size=1, max_size=5), min_size=1, max_size=5))
+    return Instance(tuple(names), draw(st.integers(1, 4)), tuple(map(tuple, ranges)))
+
+
+@st.composite
+def weighted_instances(draw):
+    inst = draw(instances())
+    weights = st.integers(1, 3)
+    return WeightedInstance(
+        inst,
+        draw(st.lists(weights, min_size=inst.num_bakers, max_size=inst.num_bakers)),
+        draw(st.lists(weights, min_size=inst.num_millers, max_size=inst.num_millers)),
+    )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(instances(), weighted_instances()))
+def test_round_trip_property(obj):
+    # all-unit weights parse back as the plain instance, by design
+    expected = obj.instance if isinstance(obj, WeightedInstance) and obj.is_uniform else obj
+    assert parse_instance(serialize_instance(obj)) == expected
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.data())
+def test_digest_ignores_range_order_and_repeats(data):
+    inst = data.draw(instances())
+    shuffled = []
+    for rng in inst.bakers:
+        repeats = data.draw(st.lists(st.sampled_from(rng), max_size=3))
+        shuffled.append(tuple(data.draw(st.permutations(rng + tuple(repeats)))))
+    same = Instance(inst.locations, inst.num_millers, tuple(shuffled))
+    assert same == inst
+    assert instance_digest(same) == instance_digest(inst)
 
 
 @pytest.mark.parametrize(
@@ -322,6 +364,15 @@ def test_cli_unreadable_input_is_a_one_line_error(bad, fig2_file, tmp_path, caps
     assert main(["verify", fig2_file, str(path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("sets", ['[[1,"a"]]', '[[{"a":1}]]', "[[1.5, 2]]", "[[true, 2]]"])
+def test_cli_coverage_sets_need_integer_items(sets, tmp_path, capsys):
+    out = tmp_path / "cov.json"
+    assert main(["generate", "coverage-opt", "--sets", sets, "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: coverage items must be integers\n"
+    assert not out.exists()
 
 
 def test_cli_unknown_command_exits_with_usage(capsys):

@@ -56,6 +56,7 @@ def test_instance_canonicalizes_ranges():
         (("x", "y"), 1, ((True,),)),  # bool location index
         (("x",), 1, ((0.0,),)),  # float location index
         ((0, "y"), 1, ((0,),)),  # location name not a string
+        (("", "y"), 1, ((0,),)),  # empty name: no file could hold it
     ],
 )
 def test_invalid_instances_rejected(locations, millers, bakers):

@@ -44,6 +44,9 @@ def test_coverage_problem_validation():
         CoverageProblem(((1, 2), ()), 1)
     with pytest.raises(GameError):
         CoverageProblem(((1,),), 2)
+    for bad in [((1, "a"),), (({"a": 1},),), ((1.5, 2),), ((True, 2),), ((1,), (2.0,))]:
+        with pytest.raises(GameError, match="integers"):
+            CoverageProblem(bad, 1)
     canon = CoverageProblem(((2, 1, 2), (3,)), 1)
     assert canon.sets == ((1, 2), (3,))
     assert canon.ground == (1, 2, 3)

@@ -28,6 +28,7 @@ from bakermill import (
     stable_from_location_set,
 )
 from conftest import SOLVER_SEED, fresh_rng, random_instance
+from reference_phase1 import reference_phase1
 
 APPROX_NUM = 1582  # rational stand-in for e/(e-1), slightly above it
 APPROX_DEN = 999
@@ -64,6 +65,33 @@ def test_phase1_counts_are_monotone():
         greedy, _ = phase1_concentrate(random_instance(rng))
         for a, b in itertools.pairwise(greedy.counts):
             assert a >= b
+
+
+def ring_instance(rng, max_bakers=20, max_locations=8):
+    """Ranges are arcs of a cycle of locations: many equal counts."""
+    num_locations = rng.randint(1, max_locations)
+    ranges = []
+    for _ in range(rng.randint(1, max_bakers)):
+        start, width = rng.randrange(num_locations), rng.randint(1, num_locations)
+        ranges.append(tuple((start + i) % num_locations for i in range(width)))
+    names = tuple(f"r{i}" for i in range(num_locations))
+    return Instance(names, rng.randint(1, 3), tuple(ranges))
+
+
+def test_phase1_matches_rescanning_reference():
+    rng = fresh_rng(SOLVER_SEED + 5)
+    corpus = [random_instance(rng, max_bakers=12, max_locations=6) for _ in range(2000)]
+    corpus += [ring_instance(rng) for _ in range(1000)]
+    tied = zero_grabs = 0
+    for inst in corpus:
+        greedy, bakers = phase1_concentrate(inst)
+        order, counts, assignment = reference_phase1(inst)
+        assert (greedy.order, greedy.counts, bakers) == (order, counts, assignment)
+        # phase 2's fallback rebuilds the same order from the profile alone
+        assert phase2_insert_millers(inst, bakers) == phase2_insert_millers(inst, bakers, greedy)
+        tied += any(a == b > 0 for a, b in itertools.pairwise(counts))
+        zero_grabs += 0 in counts
+    assert tied >= 200 and zero_grabs >= 200
 
 
 # ------------------------------------------------------------------- phase 2
