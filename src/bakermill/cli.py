@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -238,7 +239,11 @@ def _cmd_welfare(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared, so callers
+    must not change it. Parsing keeps no state in it: every call starts
+    from the same defaults."""
     parser = argparse.ArgumentParser(
         prog="bakermill",
         description="Solve, verify and explore the bakers-and-millers location game.",
@@ -293,8 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BudgetExceededError as exc:

@@ -147,10 +147,16 @@ def step_improving(
 
     The fixed scan order for "first" and for tie-breaking in "best" is
     millers by id, then bakers by id, targets by ascending location index.
+    A profile that does not fit the instance raises InvalidProfileError.
     """
     if policy not in ("first", "best"):
         raise GameError(f"unknown policy {policy!r}")
+    validate_profile(winstance.instance, profile)
+    return _step(winstance, profile, policy)
 
+
+def _step(winstance: WeightedInstance, profile: StrategyProfile, policy: str) -> Move | None:
+    """`step_improving` for a known policy and a profile known to fit."""
     best_move = None
     best_gain = None
     for kind, positions, weights, targets, own, other in _sides(winstance, profile):
@@ -254,7 +260,7 @@ def run_dynamics(
             except ScriptError as exc:
                 raise ScriptError(f"script step {k + 1}: {exc}") from None
         else:
-            move = step_improving(winstance, profile, policy)
+            move = _step(winstance, profile, policy)
         if move is None:
             status = "converged-to-NE"
             break
@@ -268,7 +274,7 @@ def run_dynamics(
             break
         seen[sig] = len(states) - 1
     if status is None:
-        if step_improving(winstance, profile, "first") is None:
+        if _step(winstance, profile, "first") is None:
             status = "converged-to-NE"
         else:
             status = "step-budget-exhausted"

@@ -41,6 +41,13 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_location_name(name) -> bool:
+    # script lines split on whitespace and "#" starts a comment, so a name
+    # holding either could not survive a script's round trip
+    return (isinstance(name, str) and name != "" and "#" not in name
+            and not any(c.isspace() for c in name))
+
+
 @dataclass(frozen=True)
 class Instance:
     """A game instance: named locations, a miller count, per-baker ranges.
@@ -58,8 +65,10 @@ class Instance:
         locations = tuple(self.locations)
         if not locations:
             raise InvalidInstanceError("an instance needs at least one location")
-        if not all(isinstance(name, str) and name for name in locations):
-            raise InvalidInstanceError("location names must be nonempty strings")
+        if not all(map(_is_location_name, locations)):
+            raise InvalidInstanceError(
+                "location names must be nonempty strings without whitespace or '#'"
+            )
         if len(set(locations)) != len(locations):
             raise InvalidInstanceError("location names must be unique")
         if not _is_int(self.num_millers) or self.num_millers < 1:
@@ -226,12 +235,7 @@ def potential_value(instance, miller_locations, baker_locations) -> Fraction:
     return total
 
 
-def is_baker_equilibrium(instance, profile):
-    """No baker can strictly gain by moving inside her range.
-
-    Returns ``(True, None)`` or ``(False, (baker_id, target_location))``
-    with the first improving deviation in (baker id, location index) order.
-    """
+def _baker_verdict(instance, profile):
     bakers_at = location_sums(instance.num_locations, profile.baker_locations)
     millers_at = location_sums(instance.num_locations, profile.miller_locations)
     for b, _, t in improving_moves(
@@ -241,11 +245,7 @@ def is_baker_equilibrium(instance, profile):
     return True, None
 
 
-def is_miller_equilibrium(instance, profile):
-    """No miller can strictly gain by moving anywhere.
-
-    Returns ``(True, None)`` or ``(False, (miller_id, target_location))``.
-    """
+def _miller_verdict(instance, profile):
     bakers_at = location_sums(instance.num_locations, profile.baker_locations)
     millers_at = location_sums(instance.num_locations, profile.miller_locations)
     anywhere = (range(instance.num_locations),) * instance.num_millers
@@ -256,10 +256,33 @@ def is_miller_equilibrium(instance, profile):
     return True, None
 
 
+def _is_nash(instance, profile) -> bool:
+    """`is_nash_equilibrium` for a profile already known to fit."""
+    return _baker_verdict(instance, profile)[0] and _miller_verdict(instance, profile)[0]
+
+
+def is_baker_equilibrium(instance, profile):
+    """No baker can strictly gain by moving inside her range.
+
+    Returns ``(True, None)`` or ``(False, (baker_id, target_location))``
+    with the first improving deviation in (baker id, location index) order.
+    A profile that does not fit the instance raises InvalidProfileError, as
+    in the other two predicates.
+    """
+    validate_profile(instance, profile)
+    return _baker_verdict(instance, profile)
+
+
+def is_miller_equilibrium(instance, profile):
+    """No miller can strictly gain by moving anywhere.
+
+    Returns ``(True, None)`` or ``(False, (miller_id, target_location))``.
+    """
+    validate_profile(instance, profile)
+    return _miller_verdict(instance, profile)
+
+
 def is_nash_equilibrium(instance, profile) -> bool:
     """Both sides stable at once."""
-    baker_ok, _ = is_baker_equilibrium(instance, profile)
-    if not baker_ok:
-        return False
-    miller_ok, _ = is_miller_equilibrium(instance, profile)
-    return miller_ok
+    validate_profile(instance, profile)
+    return _is_nash(instance, profile)

@@ -19,7 +19,9 @@ objects mapping agent position to location name:
     {"bakers": ["x", "x", "y"], "millers": ["x", "y"]}
 
 Scripts are line oriented: ``kind origin target [weight]`` per move, with
-blank lines and ``#`` comments ignored.
+blank lines and ``#`` comments ignored. So a location name holds no
+whitespace and no ``#``; ``Instance`` and ``parse_instance`` refuse one that
+does.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import hashlib
 import json
 
 from .dynamics import ScriptedMove, WeightedInstance
-from .model import GameError, Instance, StrategyProfile
+from .model import GameError, Instance, StrategyProfile, _is_location_name
 
 SCHEMA_VERSION = 1
 
@@ -69,6 +71,9 @@ def parse_instance(text: str):
         or not all(isinstance(name, str) and name for name in locations)
     ):
         raise ParseError("locations: expected a nonempty list of names")
+    for name in locations:
+        if not _is_location_name(name):
+            raise ParseError(f"locations: name {name!r} holds whitespace or '#'")
     if len(set(locations)) != len(locations):
         dup = next(name for name in locations if locations.count(name) > 1)
         raise ParseError(f"locations: duplicate name {dup!r}")

@@ -20,8 +20,8 @@ from .model import (
     GameError,
     Instance,
     StrategyProfile,
+    _is_nash,
     coverage,
-    is_nash_equilibrium,
     location_sums,
     potential_value,
 )
@@ -122,7 +122,8 @@ def phase3_rebalance(instance: Instance, miller_locations) -> tuple[int, ...]:
 
     - No path passes through the sink, so a location's arcs into the sink
       fill in order of k. Location l keeps one live arc, worth its next
-      baker's share, and the sink one residual arc back, worth its last.
+      baker's share, and the sink one residual arc back, worth its last,
+      which no search ever needs to relax.
     - Every placed baker has the potential of her location, and every
       unplaced one that of the source, 0. Reduced distances are never
       negative and bakers' ids precede locations', so the unplaced bakers
@@ -132,6 +133,25 @@ def phase3_rebalance(instance: Instance, miller_locations) -> tuple[int, ...]:
     - Shares are scaled by L = lcm(1..min(n, max degree + 1)). No location
       ever holds more bakers than its degree, so every share is an exact
       integer, and a uniform scale changes no comparison.
+
+    Each search stops at the first popped entry whose distance reaches the
+    sink's, and each potential then grows by min(its distance, the sink's),
+    the sink's for nodes never reached (the truncated variant of the same
+    book). The sink starts at potential -max(share), so no arc into it has
+    a negative reduced cost and the sink's distance is never negative.
+    This changes no choice of the search run to the end:
+
+    - Every arc but those at the sink costs 0, so every location the
+      search can reach lies at true distance 0. An augmentation only adds
+      arcs out of nodes on its path into nodes that were reachable
+      already, so the reachable set never grows.
+      By induction each reachable location keeps potential 0: its reduced
+      distance is 0 and min(0, the sink's) is 0, and the stop cannot come
+      before it pops unless the sink's distance is 0 too.
+    - So the heap pops the reachable locations by id alone, whatever the
+      potentials of the others, and the sink's predecessor is the first of
+      them, in pop order, with the largest next share. Entries at or past
+      the sink's distance can lower neither the sink nor a settled node.
     """
     num_bakers, num_locations = instance.num_bakers, instance.num_locations
     for loc in miller_locations:
@@ -143,48 +163,48 @@ def phase3_rebalance(instance: Instance, miller_locations) -> tuple[int, ...]:
     scale = math.lcm(*range(1, min(num_bakers, max(map(len, holders)) + 1) + 1))
     share = [m * scale for m in millers_at]
 
-    sink = num_locations
     at: list = [None] * num_bakers
     parked = [0] * num_locations
     unplaced = [len(h) for h in holders]   # unplaced bakers that may go to l
     # links[l][t]: bakers parked at l that may move on to t
     links: list[dict[int, int]] = [{} for _ in range(num_locations)]
-    # Over the empty flow every location a baker can use lies at distance 0.
-    # The sink's start shifts only its own distances in the first search,
-    # where it has no residual arc out, so any start gives the same choices.
-    pot = [0] * (sink + 1)
+    # Over the empty flow every location a baker can use lies at distance 0,
+    # and the sink at -max(share) at most.
+    pot = [0] * num_locations
+    pot_sink = -max(share)
 
     for _ in range(num_bakers):
-        dist: list = [None] * (sink + 1)
-        prev: list = [None] * (sink + 1)   # None: reached from an unplaced baker
+        dist: list = [None] * num_locations
+        prev: list = [None] * num_locations   # None: reached from an unplaced baker
         heap = [(-pot[loc], loc) for loc in range(num_locations) if unplaced[loc]]
         for d, loc in heap:
             dist[loc] = d
         heapify(heap)
+        dist_sink = last = None
         while heap:
             d, u = heappop(heap)
             if d > dist[u]:
                 continue
+            if dist_sink is not None and d >= dist_sink:
+                break
             base = d + pot[u]
-            if u < sink:
-                arcs = [(sink, base - share[u] // (parked[u] + 1))]
-                arcs += [(t, base) for t in links[u]]
-            else:
-                arcs = [(loc, base + share[loc] // c) for loc, c in enumerate(parked) if c]
-            for v, nd in arcs:
-                nd -= pot[v]
-                if dist[v] is None or nd < dist[v]:
-                    dist[v] = nd
-                    prev[v] = u
-                    heappush(heap, (nd, v))
-        for v, dv in enumerate(dist):
-            if dv is not None:
-                pot[v] += dv
+            nd = base - share[u] // (parked[u] + 1) - pot_sink
+            if dist_sink is None or nd < dist_sink:
+                dist_sink, last = nd, u
+            for t in links[u]:
+                nd = base - pot[t]
+                if dist[t] is None or nd < dist[t]:
+                    dist[t] = nd
+                    prev[t] = u
+                    heappush(heap, (nd, t))
+        pot = [p + (dist_sink if dv is None or dv > dist_sink else dv)
+               for p, dv in zip(pot, dist)]
+        pot_sink += dist_sink
 
         # Walk the path back from the sink. Each location on it was entered
         # by the first baker, by id, who was unplaced or parked at the
         # location before it; she moves on, and the locations stay distinct.
-        loc = prev[sink]
+        loc = last
         while loc is not None:
             src = prev[loc]
             baker = next(b for b in holders[loc] if at[b] == src)
@@ -216,7 +236,7 @@ def _report(instance: Instance, greedy: GreedyOrder, phase1, bakers, millers) ->
         potential_before=potential_value(instance, millers, phase1),
         potential_after=potential_value(instance, millers, bakers),
         coverage=coverage(instance, profile),
-        is_ne=is_nash_equilibrium(instance, profile),
+        is_ne=_is_nash(instance, profile),
     )
 
 

@@ -295,6 +295,17 @@ def test_run_dynamics_rejects_a_start_that_does_not_fit():
             run_dynamics(w, start)
 
 
+def test_step_improving_rejects_a_profile_that_does_not_fit():
+    w = WeightedInstance.uniform(Instance(("x", "y", "z"), 1, ((0,), (0, 1))))
+    for profile, needle in [
+        (StrategyProfile((2, 2), (0,)), "baker 0 may not choose"),  # outside her range
+        (StrategyProfile((0,), (0,)), "expected 2 baker locations"),
+    ]:
+        for policy in ("first", "best"):
+            with pytest.raises(InvalidProfileError, match=needle):
+                step_improving(w, profile, policy)
+
+
 def test_step_improving_knows_only_first_and_best():
     ex = example_instance("fig2")
     with pytest.raises(GameError, match="unknown policy 'scripted'"):

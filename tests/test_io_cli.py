@@ -4,6 +4,8 @@ CLI tests drive cli.main() in-process with tmp files and captured stdout;
 exit codes follow the convention 0 ok, 1 error, 2 oracle refusal.
 """
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from bakermill import (
     EXAMPLE_TAGS,
     Instance,
+    InvalidInstanceError,
     ParseError,
     ScriptedMove,
     WeightedInstance,
@@ -76,9 +79,16 @@ def test_digest_is_stable_and_discriminating():
     assert len(instance_digest(a)) == 16
 
 
+# Names a script line can hold: no whitespace (lines split on it) and no "#"
+# (it starts a comment). Instance refuses any other name.
+NAMES = st.text(st.characters(exclude_characters="#"), min_size=1, max_size=3).filter(
+    lambda name: not any(c.isspace() for c in name)
+)
+
+
 @st.composite
 def instances(draw):
-    names = draw(st.lists(st.text(min_size=1, max_size=3), min_size=1, max_size=4, unique=True))
+    names = draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))
     location = st.integers(0, len(names) - 1)
     ranges = draw(st.lists(st.lists(location, min_size=1, max_size=5), min_size=1, max_size=5))
     return Instance(tuple(names), draw(st.integers(1, 4)), tuple(map(tuple, ranges)))
@@ -95,12 +105,22 @@ def weighted_instances(draw):
     )
 
 
+@st.composite
+def scripts(draw, inst):
+    location = st.integers(0, inst.num_locations - 1)
+    move = st.builds(ScriptedMove, st.sampled_from(("baker", "miller")), location, location,
+                     st.none() | st.integers(1, 9))
+    return tuple(draw(st.lists(move, max_size=4)))
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.one_of(instances(), weighted_instances()))
-def test_round_trip_property(obj):
+@given(st.one_of(instances(), weighted_instances()), st.data())
+def test_round_trip_property(obj, data):
     # all-unit weights parse back as the plain instance, by design
     expected = obj.instance if isinstance(obj, WeightedInstance) and obj.is_uniform else obj
     assert parse_instance(serialize_instance(obj)) == expected
+    script = data.draw(scripts(base_of(obj)))
+    assert parse_script(serialize_script(script, obj), obj) == script
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -152,6 +172,16 @@ def test_parse_instance_error_context(text, needle):
     with pytest.raises(ParseError) as err:
         parse_instance(text)
     assert needle in str(err.value)
+
+
+@pytest.mark.parametrize("name", ["a b", "a#b", "a\tb", "a\u2028b"])
+def test_location_names_a_script_cannot_hold_are_refused(name):
+    text = ('{"version": 1, "locations": [%s, "c"], "millers": 1, "bakers": [{"range": ["c"]}]}'
+            % json.dumps(name))
+    with pytest.raises(ParseError, match="holds whitespace or '#'"):
+        parse_instance(text)
+    with pytest.raises(InvalidInstanceError):
+        Instance((name, "c"), 1, ((0, 1),))
 
 
 def test_profile_round_trip_and_validation():
@@ -373,6 +403,22 @@ def test_cli_coverage_sets_need_integer_items(sets, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err == "error: coverage items must be integers\n"
     assert not out.exists()
+
+
+def test_cli_parser_keeps_no_state_between_calls(fig2_file, capsys, monkeypatch):
+    # the parser is built once per process; each call must still start
+    # from the declared defaults, whatever an earlier call parsed or refused
+    monkeypatch.delenv("ORACLE_BUDGET", raising=False)
+    assert main(["oracle", fig2_file, "--budget", "1"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", fig2_file, "--budget", "many"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["oracle", fig2_file]) == 0
+    out, err = capsys.readouterr()
+    assert "nash equilibria:" in out and err == ""
+    assert main(["solve", fig2_file]) == 0
+    assert "nash equilibrium: yes" in capsys.readouterr().out
 
 
 def test_cli_unknown_command_exits_with_usage(capsys):

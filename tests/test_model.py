@@ -57,6 +57,8 @@ def test_instance_canonicalizes_ranges():
         (("x",), 1, ((0.0,),)),  # float location index
         ((0, "y"), 1, ((0,),)),  # location name not a string
         (("", "y"), 1, ((0,),)),  # empty name: no file could hold it
+        (("a b", "c"), 1, ((0, 1),)),  # whitespace: no script line could hold it
+        (("a#b", "c"), 1, ((0, 1),)),  # "#" starts a script comment
     ],
 )
 def test_invalid_instances_rejected(locations, millers, bakers):
@@ -73,6 +75,19 @@ def test_profile_validation():
         validate_profile(inst, StrategyProfile((0, 0, 0, 0), (0, 0)))  # off-range
     with pytest.raises(InvalidProfileError):
         validate_profile(inst, StrategyProfile((0, 0, 0, 1), (0, 2)))  # bad miller
+
+
+def test_predicates_refuse_a_profile_that_does_not_fit():
+    # one baker for two, baker 0 outside her range, a miller at no location
+    inst = Instance(("x", "y", "z"), 1, ((0,), (0, 1)))
+    for profile, needle in [
+        (StrategyProfile((0,), (0,)), "expected 2 baker locations"),
+        (StrategyProfile((2, 2), (0,)), "baker 0 may not choose"),
+        (StrategyProfile((0, 1), (5,)), "unknown location index 5"),
+    ]:
+        for predicate in (is_nash_equilibrium, is_baker_equilibrium, is_miller_equilibrium):
+            with pytest.raises(InvalidProfileError, match=needle):
+                predicate(inst, profile)
 
 
 # ----------------------------------------------------------------- utilities

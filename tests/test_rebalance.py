@@ -29,6 +29,7 @@ from reference_flow import build_potential_network, extract_baker_profile, min_c
 DIFFERENTIAL_SEED = FLOW_SEED + 4
 SMALL_TRIALS = 2_000
 MEDIUM_TRIALS = 200
+TIED_TRIALS = 600
 
 
 def reference_profile(inst, millers):
@@ -81,23 +82,39 @@ def test_miller_at_unknown_location_is_a_game_error():
 def test_rebalance_matches_reference_flow_profiles():
     # Random millers include empty locations and locations no baker can
     # reach; solver millers are the placements phase 3 sees in practice.
+    # The tied shape deals the millers round the locations (i % q) over
+    # ranges as wide as q, so many locations offer equal shares and the
+    # heap's tie rule decides most paths.
     rng = fresh_rng(DIFFERENTIAL_SEED)
-    shapes = [(SMALL_TRIALS, dict(max_bakers=7, max_locations=5, max_millers=4)),
-              (MEDIUM_TRIALS, dict(max_bakers=40, max_locations=12, max_millers=8))]
+    shapes = [(SMALL_TRIALS, "mixed", dict(max_bakers=7, max_locations=5, max_millers=4)),
+              (MEDIUM_TRIALS, "mixed", dict(max_bakers=40, max_locations=12, max_millers=8)),
+              (TIED_TRIALS, "tied", dict(max_bakers=12, max_locations=6, max_millers=12))]
     mismatches = []
-    for trials, shape in shapes:
+    tied_first_picks = 0
+    for trials, millers_from, shape in shapes:
         for trial in range(trials):
             inst = random_instance(rng, **shape)
-            if trial % 2:
+            q = inst.num_locations
+            if millers_from == "tied":
+                millers = tuple(i % q for i in range(inst.num_millers))
+                tied_first_picks += inst.num_millers % q == 0 and q > 1
+            elif trial % 2:
                 greedy, phase1 = phase1_concentrate(inst)
                 millers = phase2_insert_millers(inst, phase1, greedy)
             else:
-                millers = tuple(
-                    rng.randrange(inst.num_locations) for _ in range(inst.num_millers)
-                )
+                millers = tuple(rng.randrange(q) for _ in range(inst.num_millers))
             if phase3_rebalance(inst, millers) != reference_profile(inst, millers):
                 mismatches.append((inst, millers))
     assert mismatches == []
+    assert tied_first_picks >= 50   # every location ties for the first baker
+
+
+def test_sink_starts_below_every_share():
+    # The smallest case where a sink starting at potential 0 goes wrong: the
+    # first search then sees arcs into the sink of negative reduced cost, so
+    # it stops after popping b (1 miller) and never pops g (2 millers).
+    inst = Instance(tuple("abcdefg"), 6, ((1, 2, 3, 6),))
+    assert phase3_rebalance(inst, (3, 0, 6, 1, 6, 5)) == (6,)
 
 
 @st.composite
