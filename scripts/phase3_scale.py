@@ -16,17 +16,10 @@ timing gate, and the test suite does not run this script.
 
 from __future__ import annotations
 
-import argparse
-import hashlib
-import json
-import os
-import platform
 import random
 import sys
-import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from scale_common import parse_args, record, sha256_hex, timed
 
 CASES = ((1000, 50), (5000, 150), (10_000, 200))
 SHAPES = ("subset", "ring")
@@ -65,41 +58,29 @@ def build(n: int, q: int, shape: str):
 
 
 def profile_hash(bakers, millers) -> str:
-    text = ",".join(map(str, bakers)) + "|" + ",".join(map(str, millers))
-    return hashlib.sha256(text.encode()).hexdigest()
+    return sha256_hex(",".join(map(str, bakers)) + "|" + ",".join(map(str, millers)))
 
 
 def run_case(n: int, q: int, shape: str) -> dict:
     from bakermill import phase1_concentrate, phase2_insert_millers, phase3_rebalance
 
     instance = build(n, q, shape)
-    t0 = time.perf_counter()
-    greedy, phase1 = phase1_concentrate(instance)
-    t1 = time.perf_counter()
-    millers = phase2_insert_millers(instance, phase1, greedy)
-    t2 = time.perf_counter()
-    bakers = phase3_rebalance(instance, millers)
-    t3 = time.perf_counter()
+    (greedy, phase1), phase1_s = timed(phase1_concentrate, instance)
+    millers, phase2_s = timed(phase2_insert_millers, instance, phase1, greedy)
+    bakers, phase3_s = timed(phase3_rebalance, instance, millers)
     return {
         "bakers": n,
         "locations": q,
         "shape": shape,
-        "phase1_s": round(t1 - t0, 4),
-        "phase2_s": round(t2 - t1, 4),
-        "phase3_s": round(t3 - t2, 4),
+        "phase1_s": phase1_s,
+        "phase2_s": phase2_s,
+        "phase3_s": phase3_s,
         "profile_sha256": profile_hash(bakers, millers),
     }
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", default=str(ROOT / "src"),
-                        help="directory holding the bakermill package to time")
-    parser.add_argument("--label", default="change", help="key for this run in the output")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_phase3_scale.json"))
-    args = parser.parse_args(argv)
-
-    sys.path.insert(0, str(Path(args.src).resolve()))
+    args = parse_args(__doc__, "BENCH_phase3_scale.json", argv)
     results, failures = [], []
     for n, q in CASES:
         for shape in SHAPES:
@@ -113,22 +94,8 @@ def main(argv=None) -> int:
                   f"  phase3 {row['phase3_s']:8.4f} s  {row['profile_sha256'][:12]}"
                   f"  {'ok' if row['hash_matches'] else 'HASH MISMATCH'}", flush=True)
 
-    out = Path(args.out)
-    data = json.loads(out.read_text()) if out.exists() else {}
-    data["note"] = ("phase seconds from one timing each; seeded instances with "
-                    "ranges of 1-6 locations and q/2 millers")
-    data[args.label] = {
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "cpus": os.cpu_count(),
-        "cases": results,
-    }
-    out.write_text(json.dumps(data, indent=2) + "\n")
-    print(f"wrote {out}")
-    if failures:
-        print("profile hash mismatch: " + ", ".join(failures), file=sys.stderr)
-        return 1
-    return 0
+    return record(args, "phase seconds from one timing each; seeded instances with "
+                  "ranges of 1-6 locations and q/2 millers", results, failures)
 
 
 if __name__ == "__main__":

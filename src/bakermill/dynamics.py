@@ -12,6 +12,7 @@ conflated (ranges make locations genuinely different in general).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -86,14 +87,20 @@ class DynamicsTrace:
     revisit_index: int | None
 
 
-def _sides(winstance: WeightedInstance, profile: StrategyProfile):
+def _sums(winstance: WeightedInstance, profile: StrategyProfile):
+    """Per-location weight sums ``(baker_sum, miller_sum)`` of a profile."""
+    num_locations = winstance.instance.num_locations
+    return (
+        location_sums(num_locations, profile.baker_locations, winstance.baker_weights),
+        location_sums(num_locations, profile.miller_locations, winstance.miller_weights),
+    )
+
+
+def _sides(winstance: WeightedInstance, profile: StrategyProfile, baker_sum, miller_sum):
     """Millers then bakers, each as (kind, positions, weights, targets, own
     weight sums, other side's weight sums) for `improving_moves`."""
     instance = winstance.instance
-    num_locations = instance.num_locations
-    baker_sum = location_sums(num_locations, profile.baker_locations, winstance.baker_weights)
-    miller_sum = location_sums(num_locations, profile.miller_locations, winstance.miller_weights)
-    anywhere = (range(num_locations),) * instance.num_millers
+    anywhere = (range(instance.num_locations),) * instance.num_millers
     return (
         ("miller", profile.miller_locations, winstance.miller_weights, anywhere,
          miller_sum, baker_sum),
@@ -107,9 +114,7 @@ def weighted_utilities(winstance: WeightedInstance, profile: StrategyProfile):
 
     Returns ``(baker_utilities, miller_utilities)`` indexed by agent id.
     """
-    num_locations = winstance.instance.num_locations
-    baker_sum = location_sums(num_locations, profile.baker_locations, winstance.baker_weights)
-    miller_sum = location_sums(num_locations, profile.miller_locations, winstance.miller_weights)
+    baker_sum, miller_sum = _sums(winstance, profile)
     bakers = tuple(
         Fraction(miller_sum[loc], baker_sum[loc]) for loc in profile.baker_locations
     )
@@ -145,34 +150,47 @@ def step_improving(
 ) -> Move | None:
     """One improving move under the given policy, or None when stable.
 
-    The fixed scan order for "first" and for tie-breaking in "best" is
-    millers by id, then bakers by id, targets by ascending location index.
+    The fixed scan order is millers by id, then bakers by id, targets by
+    ascending location index. "first" returns the first improving move in
+    that order. "best" returns the move with the largest utility gain, and
+    of several equal largest gains the first in that order; gains are
+    compared exactly, as cross-multiplied integers.
     A profile that does not fit the instance raises InvalidProfileError.
     """
     if policy not in ("first", "best"):
         raise GameError(f"unknown policy {policy!r}")
     validate_profile(winstance.instance, profile)
-    return _step(winstance, profile, policy)
+    return _step(winstance, profile, policy, *_sums(winstance, profile))
 
 
-def _step(winstance: WeightedInstance, profile: StrategyProfile, policy: str) -> Move | None:
-    """`step_improving` for a known policy and a profile known to fit."""
-    best_move = None
-    best_gain = None
-    for kind, positions, weights, targets, own, other in _sides(winstance, profile):
+def _step(winstance: WeightedInstance, profile: StrategyProfile, policy: str,
+          baker_sum, miller_sum) -> Move | None:
+    """`step_improving` for a known policy, a profile known to fit and its
+    per-location weight sums."""
+    best = None
+    # the gain other[t]/(own[t]+w) - other[l]/own[l] as num/den with den > 0;
+    # every improving gain is positive, so the first candidate beats 0/1
+    best_num, best_den = 0, 1
+    for kind, positions, weights, targets, own, other in _sides(
+        winstance, profile, baker_sum, miller_sum
+    ):
         for agent, origin, target in improving_moves(positions, weights, targets, own, other):
-            move = _move(kind, agent, origin, target, weights[agent], own, other)
             if policy == "first":
-                return move
-            gain = move.utility_after - move.utility_before
-            if best_gain is None or gain > best_gain:
-                best_move, best_gain = move, gain
-    return best_move
+                return _move(kind, agent, origin, target, weights[agent], own, other)
+            own_after = own[target] + weights[agent]
+            num = other[target] * own[origin] - other[origin] * own_after
+            den = own_after * own[origin]
+            if num * best_den > best_num * den:
+                best = (kind, agent, origin, target, weights[agent], own, other)
+                best_num, best_den = num, den
+    return None if best is None else _move(*best)
 
 
-def _apply_scripted(winstance, profile, scripted: ScriptedMove) -> Move:
+def _apply_scripted(winstance, profile, scripted, baker_sum, miller_sum) -> Move:
     instance = winstance.instance
     names = instance.locations
+    if not isinstance(scripted, ScriptedMove):
+        raise ScriptError(f"expected a ScriptedMove, got {scripted!r}")
     if scripted.kind not in ("baker", "miller"):
         raise ScriptError(f"unknown agent kind {scripted.kind!r}")
     for loc in (scripted.origin, scripted.target):
@@ -181,7 +199,7 @@ def _apply_scripted(winstance, profile, scripted: ScriptedMove) -> Move:
     if scripted.origin == scripted.target:
         raise ScriptError("a move must change location")
 
-    miller_side, baker_side = _sides(winstance, profile)
+    miller_side, baker_side = _sides(winstance, profile, baker_sum, miller_sum)
     kind, positions, weights, _, own, other = (
         miller_side if scripted.kind == "miller" else baker_side
     )
@@ -220,6 +238,19 @@ def _apply(profile: StrategyProfile, move: Move) -> StrategyProfile:
     return StrategyProfile(tuple(bakers), profile.miller_locations)
 
 
+def _shift(sums, cells, weight, origin, target) -> None:
+    """Move one agent of ``weight`` from ``origin`` to ``target`` in one
+    side's weight sums and sorted weight tuples; no other location changes."""
+    sums[origin] -= weight
+    sums[target] += weight
+    here = cells[origin]
+    i = bisect_left(here, weight)
+    cells[origin] = here[:i] + here[i + 1:]
+    there = cells[target]
+    i = bisect_left(there, weight)
+    cells[target] = there[:i] + (weight,) + there[i:]
+
+
 def run_dynamics(
     winstance: WeightedInstance,
     start: StrategyProfile,
@@ -232,12 +263,17 @@ def run_dynamics(
     A start that does not fit the instance raises InvalidProfileError.
     With ``policy="scripted"`` the moves come from ``script`` (at most
     ``step_budget`` of them); a non-improving or unresolvable scripted move
-    raises ScriptError naming the offending step. A revisit means the
-    current canonical state equals an earlier one exactly.
+    raises ScriptError naming the offending step, and so does a script item
+    that is not a ScriptedMove. A revisit means the current canonical state
+    equals an earlier one exactly. ``step_budget`` must be a positive int.
+
+    Both sides' weight sums and sorted weight tuples per location are kept
+    across steps and updated at the two locations a move touches; the
+    tuples, zipped, are the ``state_signature`` of the current profile.
     """
     validate_profile(winstance.instance, start)
-    if step_budget < 1:
-        raise GameError("step budget must be positive")
+    if not _is_int(step_budget) or step_budget < 1:
+        raise GameError(f"step budget must be a positive integer, got {step_budget!r}")
     if policy == "scripted":
         if script is None:
             raise GameError("policy 'scripted' needs a script")
@@ -248,33 +284,43 @@ def run_dynamics(
         raise GameError(f"unknown policy {policy!r}")
 
     profile = start
+    baker_sum, miller_sum = _sums(winstance, start)
+    signature = state_signature(winstance, start)
+    baker_cells = [bakers for bakers, _ in signature]
+    miller_cells = [millers for _, millers in signature]
     states = [start]
     moves: list[Move] = []
-    seen = {state_signature(winstance, start): 0}
+    seen = {signature: 0}
     status = None
     revisit = None
     for k, step in enumerate(steps):
         if policy == "scripted":
             try:
-                move = _apply_scripted(winstance, profile, step)
+                move = _apply_scripted(winstance, profile, step, baker_sum, miller_sum)
             except ScriptError as exc:
                 raise ScriptError(f"script step {k + 1}: {exc}") from None
         else:
-            move = _step(winstance, profile, policy)
+            move = _step(winstance, profile, policy, baker_sum, miller_sum)
         if move is None:
             status = "converged-to-NE"
             break
         profile = _apply(profile, move)
         moves.append(move)
         states.append(profile)
-        sig = state_signature(winstance, profile)
+        if move.kind == "baker":
+            _shift(baker_sum, baker_cells, winstance.baker_weights[move.agent],
+                   move.origin, move.target)
+        else:
+            _shift(miller_sum, miller_cells, winstance.miller_weights[move.agent],
+                   move.origin, move.target)
+        sig = tuple(zip(baker_cells, miller_cells))
         if sig in seen:
             status = "cycle-detected"
             revisit = seen[sig]
             break
         seen[sig] = len(states) - 1
     if status is None:
-        if _step(winstance, profile, "first") is None:
+        if _step(winstance, profile, "first", baker_sum, miller_sum) is None:
             status = "converged-to-NE"
         else:
             status = "step-budget-exhausted"

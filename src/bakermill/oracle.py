@@ -181,12 +181,26 @@ def brute_potential_max(instance: Instance, miller_locations, budget: int | None
         raise BudgetExceededError(
             f"search space {size} exceeds the oracle budget {limit}"
         )
-    from .model import potential_value
-
+    # the potential sum(millers at l * H(bakers at l)) with its own exact
+    # harmonic numbers: the solver's report scores with model.potential_value,
+    # so the oracle must not, or a fault there would agree with itself
+    num_locations = instance.num_locations
+    millers_at = [0] * num_locations
+    for loc in miller_locations:
+        millers_at[loc] += 1
+    millered = [(loc, millers_at[loc]) for loc in range(num_locations) if millers_at[loc]]
+    harmonics = [Fraction(0)]
+    for k in range(1, instance.num_bakers + 1):
+        harmonics.append(harmonics[-1] + Fraction(1, k))
     best = None
     witness = None
     for bakers in product(*instance.bakers):
-        value = potential_value(instance, miller_locations, bakers)
+        bakers_at = [0] * num_locations
+        for loc in bakers:
+            bakers_at[loc] += 1
+        value = Fraction(0)
+        for loc, millers in millered:
+            value += millers * harmonics[bakers_at[loc]]
         if best is None or value > best:
             best = value
             witness = bakers

@@ -35,6 +35,7 @@ from bakermill import (
     weighted_utilities,
 )
 from conftest import DYNAMICS_SEED, fresh_rng, random_instance, random_profile
+from reference_dynamics import run_dynamics as reference_run_dynamics
 
 
 @pytest.fixture
@@ -312,6 +313,22 @@ def test_step_improving_knows_only_first_and_best():
         step_improving(WeightedInstance.uniform(ex.instance), ex.profiles["left"], "scripted")
 
 
+@pytest.mark.parametrize(
+    "policy, options, error, needle",
+    [
+        ("first", {"step_budget": 2.5}, GameError, "step budget"),
+        ("first", {"step_budget": "3"}, GameError, "step budget"),
+        ("first", {"step_budget": None}, GameError, "step budget"),
+        ("first", {"step_budget": True}, GameError, "step budget"),
+        ("scripted", {"script": [1, 2]}, ScriptError, "script step 1: expected a ScriptedMove"),
+    ],
+    ids=["float-budget", "str-budget", "none-budget", "bool-budget", "int-script-item"],
+)
+def test_run_dynamics_refuses_bad_budgets_and_script_items(fig7, policy, options, error, needle):
+    with pytest.raises(error, match=needle):
+        run_dynamics(fig7.instance, fig7.profiles["start"], policy=policy, **options)
+
+
 def test_step_budget_halts_run(fig7):
     w = fig7.instance
     trace = run_dynamics(
@@ -439,3 +456,59 @@ def test_weighted_moves_match_reference_scan():
             )
             assert got == want
     assert best_ties >= 100
+
+
+# ------------------------------------------- whole traces against the reference
+
+
+def assert_revisit_is_first_repeat(winstance, trace):
+    """``revisit_index`` names the first state equal to the last one, and no
+    two states before the last are equal."""
+    sigs = [state_signature(winstance, state) for state in trace.states]
+    assert len(set(sigs[:-1])) == len(sigs) - 1
+    first = sigs.index(sigs[-1])
+    if trace.status == "cycle-detected":
+        assert trace.revisit_index == first < len(sigs) - 1
+    else:
+        assert trace.revisit_index is None and first == len(sigs) - 1
+
+
+def test_traces_match_reference_dynamics():
+    # the step loop keeps sums and the signature across moves and compares
+    # "best" gains in integers; every trace must equal the rebuild-everything
+    # reference, Fractions included
+    rng = fresh_rng(DYNAMICS_SEED + 3)
+    statuses = Counter()
+    for k in range(1000):
+        inst = random_instance(rng, max_bakers=40, max_locations=8, max_millers=10)
+        if k % 2:
+            w = WeightedInstance(
+                inst,
+                tuple(rng.randint(1, 5) for _ in range(inst.num_bakers)),
+                tuple(rng.randint(1, 5) for _ in range(inst.num_millers)),
+            )
+        else:
+            w = WeightedInstance.uniform(inst)
+        start = random_profile(rng, inst)
+        budget = rng.randint(1, 60)
+        for policy in ("first", "best"):
+            trace = run_dynamics(w, start, policy=policy, step_budget=budget)
+            assert trace == reference_run_dynamics(w, start, policy=policy, step_budget=budget)
+            assert_revisit_is_first_repeat(w, trace)
+            statuses[policy, trace.status] += 1
+    # both budget endings under both policies; no seeded run of these sizes
+    # cycles under "first" or "best", so revisits come from the fig7 script
+    for policy in ("first", "best"):
+        for status in ("converged-to-NE", "step-budget-exhausted"):
+            assert statuses[policy, status] >= 50, (policy, status, statuses)
+
+
+def test_fig7_script_prefixes_match_reference_dynamics(fig7):
+    w = fig7.instance
+    start = fig7.profiles["start"]
+    script = fig7_cycle_script()
+    for end in range(1, len(script) + 1):
+        trace = run_dynamics(w, start, policy="scripted", script=script[:end])
+        assert trace == reference_run_dynamics(w, start, policy="scripted", script=script[:end])
+        assert_revisit_is_first_repeat(w, trace)
+    assert trace.status == "cycle-detected"
