@@ -194,8 +194,10 @@ def _apply_scripted(winstance, profile, scripted, baker_sum, miller_sum) -> Move
     if scripted.kind not in ("baker", "miller"):
         raise ScriptError(f"unknown agent kind {scripted.kind!r}")
     for loc in (scripted.origin, scripted.target):
-        if not 0 <= loc < instance.num_locations:
-            raise ScriptError(f"unknown location index {loc}")
+        if not _is_int(loc) or not 0 <= loc < instance.num_locations:
+            raise ScriptError(f"unknown location index {loc!r}")
+    if scripted.weight is not None and not (_is_int(scripted.weight) and scripted.weight >= 1):
+        raise ScriptError(f"weight must be None or a positive int, got {scripted.weight!r}")
     if scripted.origin == scripted.target:
         raise ScriptError("a move must change location")
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, product
 from math import comb, prod
 
-from .model import GameError, Instance, StrategyProfile
+from .model import GameError, Instance, StrategyProfile, _is_int
 from .serialization import instance_digest
 
 DEFAULT_BUDGET = 10**7
@@ -47,6 +47,8 @@ class OracleReport:
 
 def resolve_budget(budget: int | None = None) -> int:
     if budget is not None:
+        if not _is_int(budget):
+            raise GameError(f"oracle budget must be an integer, got {budget!r}")
         if budget < 1:
             raise GameError("oracle budget must be positive")
         return budget
@@ -69,9 +71,8 @@ def search_space(instance: Instance) -> int:
     )
 
 
-def _check_budget(instance: Instance, budget: int | None) -> None:
+def _check_budget(size: int, budget: int | None) -> None:
     limit = resolve_budget(budget)
-    size = search_space(instance)
     if size > limit:
         raise BudgetExceededError(
             f"search space {size} exceeds the oracle budget {limit}; "
@@ -129,7 +130,7 @@ def _scan_equilibria(instance: Instance):
 
 def enumerate_all_ne(instance: Instance, budget: int | None = None) -> list[StrategyProfile]:
     """All Nash equilibria, miller vectors sorted, in lexicographic order."""
-    _check_budget(instance, budget)
+    _check_budget(search_space(instance), budget)
     return [profile for profile, _ in _scan_equilibria(instance)]
 
 
@@ -140,7 +141,7 @@ def optimal_coverage(instance: Instance, budget: int | None = None) -> tuple[int
     permissible location (lowest index), which is individually optimal
     for coverage.
     """
-    _check_budget(instance, budget)
+    _check_budget(search_space(instance), budget)
     masks = [sum(1 << loc for loc in rng) for rng in instance.bakers]
     best = -1
     best_millers = None
@@ -175,12 +176,7 @@ def poa_pos(instance: Instance, budget: int | None = None):
 
 def brute_potential_max(instance: Instance, miller_locations, budget: int | None = None):
     """Maximize the potential by trying every baker profile."""
-    limit = resolve_budget(budget)
-    size = prod(len(rng) for rng in instance.bakers)
-    if size > limit:
-        raise BudgetExceededError(
-            f"search space {size} exceeds the oracle budget {limit}"
-        )
+    _check_budget(prod(len(rng) for rng in instance.bakers), budget)
     # the potential sum(millers at l * H(bakers at l)) with its own exact
     # harmonic numbers: the solver's report scores with model.potential_value,
     # so the oracle must not, or a fault there would agree with itself
@@ -208,7 +204,7 @@ def brute_potential_max(instance: Instance, miller_locations, budget: int | None
 
 
 def oracle_report(instance: Instance, budget: int | None = None) -> OracleReport:
-    _check_budget(instance, budget)
+    _check_budget(search_space(instance), budget)
     equilibria = []
     best = worst = None
     best_cov = -1

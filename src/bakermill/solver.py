@@ -11,10 +11,9 @@ equilibrium, and phase 3 never disturbs the millers' stability.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 
 from .model import (
     GameError,
@@ -112,46 +111,34 @@ def phase2_insert_millers(instance: Instance, baker_locations, order: GreedyOrde
 def phase3_rebalance(instance: Instance, miller_locations) -> tuple[int, ...]:
     """Baker profile maximizing the potential for the given miller placement.
 
-    This is successive shortest augmenting paths with node potentials (Ahuja,
-    Magnanti and Orlin, *Network Flows*, ch. 9) on the network source ->
-    bakers -> permissible locations -> sink, where the k-th baker at location
-    l earns millers_l/k and the Dijkstra heap breaks ties by node id (source,
-    bakers, locations, sink). Each path places one more baker and shifts a
-    chain of placed ones. The search runs on locations and the sink alone,
-    without changing a single decision of the search on the full network:
+    This is the profile that successive shortest augmenting paths (Ahuja,
+    Magnanti and Orlin, *Network Flows*, ch. 9) build on the network source
+    -> bakers -> permissible locations -> sink, where the k-th baker at
+    location l earns millers_l/k, with Dijkstra's heap breaking ties by
+    (reduced distance, node id) and ids ordered source, bakers, locations,
+    sink. Each path places one more baker and shifts a chain of placed
+    ones. Here each search is a walk over the locations alone, and it
+    makes the same choice:
 
-    - No path passes through the sink, so a location's arcs into the sink
-      fill in order of k. Location l keeps one live arc, worth its next
-      baker's share, and the sink one residual arc back, worth its last,
-      which no search ever needs to relax.
-    - Every placed baker has the potential of her location, and every
-      unplaced one that of the source, 0. Reduced distances are never
-      negative and bakers' ids precede locations', so the unplaced bakers
-      pop first, in id order, and a location's parked bakers pop right
-      after it. A baker matters only as the first one, by id, to offer an
-      arc to a location, and paths are read back through that first baker.
-    - Shares are scaled by L = lcm(1..min(n, max degree + 1)). No location
-      ever holds more bakers than its degree, so every share is an exact
-      integer, and a uniform scale changes no comparison.
-
-    Each search stops at the first popped entry whose distance reaches the
-    sink's, and each potential then grows by min(its distance, the sink's),
-    the sink's for nodes never reached (the truncated variant of the same
-    book). The sink starts at potential -max(share), so no arc into it has
-    a negative reduced cost and the sink's distance is never negative.
-    This changes no choice of the search run to the end:
-
-    - Every arc but those at the sink costs 0, so every location the
-      search can reach lies at true distance 0. An augmentation only adds
-      arcs out of nodes on its path into nodes that were reachable
-      already, so the reachable set never grows.
-      By induction each reachable location keeps potential 0: its reduced
-      distance is 0 and min(0, the sink's) is 0, and the stop cannot come
-      before it pops unless the sink's distance is 0 too.
-    - So the heap pops the reachable locations by id alone, whatever the
-      potentials of the others, and the sink's predecessor is the first of
-      them, in pop order, with the largest next share. Entries at or past
-      the sink's distance can lower neither the sink nor a settled node.
+    1. Every residual arc but the sink's costs 0. No shortest path passes
+       through the sink, so location l's arcs into it fill in order of k,
+       and its cheapest one left is worth its next share,
+       millers_l/(parked_l+1).
+    2. So every node the search can reach lies at distance 0, and keeps
+       potential 0: an augmentation only adds arcs into nodes that were
+       reachable already. Reachable nodes therefore pop by id alone: the
+       unplaced bakers, then the locations, each followed at once by its
+       parked bakers. A location enters from the first popped location
+       that holds a baker who may move to it, or from none (``None``) if
+       an unplaced baker may, and the path is read back through the first
+       such baker by id.
+    3. So the sink's predecessor is the first location, in pop order, with
+       the largest next share: a later equal share does not lower the
+       sink's distance.
+    4. Successive path costs never fall, so no share found can beat the
+       previous path's (for the first search, the largest miller count).
+       Once the best share reaches it, no later pop can replace it, and
+       the walk stops.
     """
     num_bakers, num_locations = instance.num_bakers, instance.num_locations
     for loc in miller_locations:
@@ -160,46 +147,32 @@ def phase3_rebalance(instance: Instance, miller_locations) -> tuple[int, ...]:
     millers_at = location_sums(num_locations, miller_locations)
     ranges = instance.bakers
     holders = _holders(instance)
-    scale = math.lcm(*range(1, min(num_bakers, max(map(len, holders)) + 1) + 1))
-    share = [m * scale for m in millers_at]
 
     at: list = [None] * num_bakers
     parked = [0] * num_locations
     unplaced = [len(h) for h in holders]   # unplaced bakers that may go to l
     # links[l][t]: bakers parked at l that may move on to t
     links: list[dict[int, int]] = [{} for _ in range(num_locations)]
-    # Over the empty flow every location a baker can use lies at distance 0,
-    # and the sink at -max(share) at most.
-    pot = [0] * num_locations
-    pot_sink = -max(share)
+    # the previous path's share, as numerator and denominator
+    bound_num, bound_den = max(millers_at), 1
 
     for _ in range(num_bakers):
-        dist: list = [None] * num_locations
-        prev: list = [None] * num_locations   # None: reached from an unplaced baker
-        heap = [(-pot[loc], loc) for loc in range(num_locations) if unplaced[loc]]
-        for d, loc in heap:
-            dist[loc] = d
-        heapify(heap)
-        dist_sink = last = None
+        # ascending, so already a heap
+        heap = [loc for loc in range(num_locations) if unplaced[loc]]
+        prev = dict.fromkeys(heap)   # first discoverer; None: an unplaced baker
+        best_num, best_den = -1, 1
         while heap:
-            d, u = heappop(heap)
-            if d > dist[u]:
-                continue
-            if dist_sink is not None and d >= dist_sink:
-                break
-            base = d + pot[u]
-            nd = base - share[u] // (parked[u] + 1) - pot_sink
-            if dist_sink is None or nd < dist_sink:
-                dist_sink, last = nd, u
+            u = heappop(heap)
+            num, den = millers_at[u], parked[u] + 1
+            if num * best_den > best_num * den:
+                best_num, best_den, last = num, den, u
+                if num * bound_den >= bound_num * den:
+                    break
             for t in links[u]:
-                nd = base - pot[t]
-                if dist[t] is None or nd < dist[t]:
-                    dist[t] = nd
+                if t not in prev:
                     prev[t] = u
-                    heappush(heap, (nd, t))
-        pot = [p + (dist_sink if dv is None or dv > dist_sink else dv)
-               for p, dv in zip(pot, dist)]
-        pot_sink += dist_sink
+                    heappush(heap, t)
+        bound_num, bound_den = best_num, best_den
 
         # Walk the path back from the sink. Each location on it was entered
         # by the first baker, by id, who was unplaced or parked at the

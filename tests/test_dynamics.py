@@ -321,8 +321,19 @@ def test_step_improving_knows_only_first_and_best():
         ("first", {"step_budget": None}, GameError, "step budget"),
         ("first", {"step_budget": True}, GameError, "step budget"),
         ("scripted", {"script": [1, 2]}, ScriptError, "script step 1: expected a ScriptedMove"),
+        ("scripted", {"script": [ScriptedMove("miller", "0", 2)]}, ScriptError,
+         "script step 1: unknown location index '0'"),
+        ("scripted", {"script": [ScriptedMove("miller", True, 2)]}, ScriptError,
+         "script step 1: unknown location index True"),
+        ("scripted", {"script": [ScriptedMove("miller", 0, 2.0)]}, ScriptError,
+         "script step 1: unknown location index 2.0"),
+        ("scripted", {"script": [ScriptedMove("miller", 0, 2, 1.0)]}, ScriptError,
+         "script step 1: weight must be None or a positive int, got 1.0"),
+        ("scripted", {"script": [ScriptedMove("miller", 0, 2, 0)]}, ScriptError,
+         "script step 1: weight must be None or a positive int, got 0"),
     ],
-    ids=["float-budget", "str-budget", "none-budget", "bool-budget", "int-script-item"],
+    ids=["float-budget", "str-budget", "none-budget", "bool-budget", "int-script-item",
+         "str-origin", "bool-origin", "float-target", "float-weight", "zero-weight"],
 )
 def test_run_dynamics_refuses_bad_budgets_and_script_items(fig7, policy, options, error, needle):
     with pytest.raises(error, match=needle):

@@ -182,3 +182,13 @@ def test_budget_env_validation(monkeypatch):
     assert resolve_budget() == 10 ** 7
     with pytest.raises(GameError):
         resolve_budget(0)
+    # an explicit budget must be an int, and a bool is not one
+    fig2 = example_instance("fig2").instance
+    for budget in ["7", True, 2.5]:
+        with pytest.raises(GameError, match=f"oracle budget must be an integer, got {budget!r}"):
+            resolve_budget(budget)
+        with pytest.raises(GameError, match="oracle budget must be an integer"):
+            oracle_report(fig2, budget=budget)
+    # brute_potential_max refuses through the same check, hint included
+    with pytest.raises(BudgetExceededError, match="exceeds the oracle budget 1; raise it"):
+        brute_potential_max(fig2, (0, 0), budget=1)

@@ -7,6 +7,7 @@ full network (every parallel sink arc, a Bellman-Ford start).
 """
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -107,6 +108,20 @@ def test_rebalance_matches_reference_flow_profiles():
                 mismatches.append((inst, millers))
     assert mismatches == []
     assert tied_first_picks >= 50   # every location ties for the first baker
+
+
+@pytest.mark.parametrize("shape", ["subset", "ring"])
+def test_rebalance_keeps_the_scale_script_hashes(monkeypatch, shape):
+    # The smallest cases of scripts/phase3_scale.py, whose hashes were
+    # recorded from the rebalancer that ran every search to the end.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "scripts"))
+    from phase3_scale import EXPECTED, build, profile_hash
+
+    inst = build(1000, 50, shape)
+    greedy, phase1 = phase1_concentrate(inst)
+    millers = phase2_insert_millers(inst, phase1, greedy)
+    bakers = phase3_rebalance(inst, millers)
+    assert profile_hash(bakers, millers) == EXPECTED[f"1000x50:{shape}"]
 
 
 def test_sink_starts_below_every_share():
