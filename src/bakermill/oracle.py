@@ -2,11 +2,14 @@
 
 Everything here enumerates rather than constructs: all Nash equilibria,
 the coverage optimum, price of anarchy/stability, and the brute-force
-potential maximum. Millers are interchangeable, so miller placements are
-enumerated as multisets and equilibria are reported with a sorted miller
-vector. Each entry point refuses instances whose search space exceeds a
-budget (default 10**7, overridable per call or via the ORACLE_BUDGET
-environment variable).
+potential maximum. Millers are interchangeable, so equilibria are
+reported with a sorted miller vector. The equilibrium scan walks every
+baker profile; the miller vectors stable against its baker counts are
+exactly the D'Hondt apportionments of the millers to those counts, so
+they are derived once per count vector rather than found by trying every
+miller multiset. Each entry point refuses instances whose search space
+exceeds a budget (default 10**7, overridable per call or via the
+ORACLE_BUDGET environment variable).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, product
 from math import comb, prod
 
 from .model import GameError, Instance, StrategyProfile, _is_int
@@ -22,6 +25,7 @@ from .serialization import instance_digest
 
 DEFAULT_BUDGET = 10**7
 _BUDGET_ENV = "ORACLE_BUDGET"
+_CACHED_COUNT_VECTORS = 1 << 14   # at most a few MB of stable miller lists
 
 
 class BudgetExceededError(GameError):
@@ -80,51 +84,89 @@ def _check_budget(size: int, budget: int | None) -> None:
         )
 
 
-def _miller_multisets(instance: Instance):
-    """Precomputed (vector, counts, occupied) per miller multiset."""
-    num_locations = instance.num_locations
+def _stable_millers(counts, num_millers: int) -> tuple:
+    """Every (millers, millers_at) stable against the baker counts, with
+    millers sorted, in lexicographic order of millers.
+
+    Millers are stable when, for every occupied l and every t,
+    counts[l]/millers_at[l] >= counts[t]/(millers_at[t]+1): exactly the
+    Jefferson/D'Hondt apportionments of num_millers seats to the
+    populations counts (Balinski and Young, *Fair Representation*, 1982).
+    Every apportionment takes the num_millers largest quotients counts[l]/k,
+    so all of them share the smallest one taken, v. The seats whose
+    quotient is above v are forced; the rest go, one each, to any of the
+    locations whose next quotient equals v. Ascending combinations of
+    those locations give the vectors in lexicographic order. Quotients are
+    compared as cross-multiplied integers; counts must not be all 0.
+    """
+    num_locations = len(counts)
+    seats = [0] * num_locations
+    for _ in range(num_millers):
+        best, v_num, v_den = 0, counts[0], seats[0] + 1
+        for loc in range(1, num_locations):
+            num, den = counts[loc], seats[loc] + 1
+            if num * v_den > v_num * den:
+                best, v_num, v_den = loc, num, den
+        seats[best] = v_den
+    # the greedy takes the quotients in falling order, so its last is v; a
+    # location's seat at v is not forced, and its next quotient may be v
+    forced, tied = [], []
+    for loc in range(num_locations):
+        k = seats[loc]
+        if k and counts[loc] * v_den == v_num * k:
+            k = seats[loc] = k - 1
+            tied.append(loc)
+        elif counts[loc] * v_den == v_num * (k + 1):
+            tied.append(loc)
+        if k:
+            forced += [loc] * k
     out = []
-    for vec in combinations_with_replacement(range(num_locations), instance.num_millers):
-        counts = [0] * num_locations
-        for loc in vec:
-            counts[loc] += 1
-        occupied = [loc for loc in range(num_locations) if counts[loc]]
-        out.append((vec, counts, occupied))
-    return out
+    for extra in combinations(tied, num_millers - len(forced)):
+        millers_at = seats[:]
+        for loc in extra:
+            millers_at[loc] += 1
+        out.append((tuple(sorted(forced + list(extra))), tuple(millers_at)))
+    return tuple(out)
+
+
+def _bakers_stable(bakers, ranges, bakers_at, millers_at) -> bool:
+    """No baker gains by moving: millers_t/(bakers_t+1) <= millers_l/bakers_l
+    for each baker at l and each t in her range (t == l never fails)."""
+    for b, loc in enumerate(bakers):
+        m_here, b_here = millers_at[loc], bakers_at[loc]
+        for t in ranges[b]:
+            if millers_at[t] * b_here > m_here * (bakers_at[t] + 1):
+                return False
+    return True
 
 
 def _scan_equilibria(instance: Instance):
     """Yield (profile, coverage) for every equilibrium, in canonical order."""
     num_locations = instance.num_locations
     ranges = instance.bakers
-    multisets = _miller_multisets(instance)
+    # the stable (millers, millers_at) pairs per baker count vector, each
+    # tuple of them stored once: many count vectors share the same pairs.
+    # Both are emptied when full, since where count vectors rarely repeat
+    # (the poa family: every profile has its own) they would only grow.
+    by_counts: dict = {}
+    shared: dict = {}
+    # a bytes key takes far less room than a tuple, but holds counts below 256 only
+    as_key = bytes if instance.num_bakers < 256 else tuple
     for bakers in product(*ranges):
         bakers_at = [0] * num_locations
         for loc in bakers:
             bakers_at[loc] += 1
-        deviations = [
-            (loc, t)
-            for b, loc in enumerate(bakers)
-            for t in ranges[b]
-            if t != loc
-        ]
-        for millers, millers_at, occupied in multisets:
-            stable = True
-            for loc, t in deviations:
-                if millers_at[t] * bakers_at[loc] > millers_at[loc] * (bakers_at[t] + 1):
-                    stable = False
-                    break
-            if stable:
-                for loc in occupied:
-                    b_here, m_here = bakers_at[loc], millers_at[loc]
-                    for t in range(num_locations):
-                        if t != loc and bakers_at[t] * m_here > b_here * (millers_at[t] + 1):
-                            stable = False
-                            break
-                    if not stable:
-                        break
-            if stable:
-                cov = sum(bakers_at[loc] for loc in occupied)
+        key = as_key(bakers_at)
+        candidates = by_counts.get(key)
+        if candidates is None:
+            if len(by_counts) == _CACHED_COUNT_VECTORS:
+                by_counts.clear()
+                shared.clear()
+            candidates = _stable_millers(bakers_at, instance.num_millers)
+            candidates = by_counts[key] = shared.setdefault(candidates, candidates)
+        for millers, millers_at in candidates:
+            if _bakers_stable(bakers, ranges, bakers_at, millers_at):
+                cov = sum(b for b, m in zip(bakers_at, millers_at) if m)
                 yield StrategyProfile(bakers, millers), cov
 
 
@@ -142,6 +184,10 @@ def optimal_coverage(instance: Instance, budget: int | None = None) -> tuple[int
     for coverage.
     """
     _check_budget(search_space(instance), budget)
+    return _optimal_coverage(instance)
+
+
+def _optimal_coverage(instance: Instance) -> tuple[int, StrategyProfile]:
     masks = [sum(1 << loc for loc in rng) for rng in instance.bakers]
     best = -1
     best_millers = None
@@ -217,7 +263,7 @@ def oracle_report(instance: Instance, budget: int | None = None) -> OracleReport
             worst_cov, worst = cov, profile
     if not equilibria:
         raise GameError("no Nash equilibrium found, which contradicts existence")
-    opt_cov, opt_witness = optimal_coverage(instance, budget)
+    opt_cov, opt_witness = _optimal_coverage(instance)
     examined = prod(len(rng) for rng in instance.bakers) * comb(
         instance.num_locations + instance.num_millers - 1, instance.num_millers
     )

@@ -1,8 +1,10 @@
 """Exhaustive reference oracle: NE enumeration, optima, ratio reports.
 
 test_matches_naive_enumeration re-derives the equilibrium set with a
-deliberately dumb product-space scan so the multiset-based oracle is
-checked against an independent route.
+deliberately dumb product-space scan so the apportionment-based oracle is
+checked against an independent route; test_scan_matches_reference_oracle
+compares whole lists, order and coverage included, with the multiset scan
+kept in reference_oracle.py.
 """
 
 import itertools
@@ -13,6 +15,7 @@ import pytest
 from bakermill import (
     BudgetExceededError,
     GameError,
+    Instance,
     StrategyProfile,
     brute_potential_max,
     compute_equilibrium,
@@ -28,7 +31,11 @@ from bakermill import (
     resolve_budget,
     search_space,
 )
+from bakermill import oracle
 from conftest import ORACLE_SEED, fresh_rng, random_instance
+import reference_oracle
+
+DIFFERENTIAL_TRIALS = 700   # per shape
 
 
 def test_search_space_size():
@@ -192,3 +199,100 @@ def test_budget_env_validation(monkeypatch):
     # brute_potential_max refuses through the same check, hint included
     with pytest.raises(BudgetExceededError, match="exceeds the oracle budget 1; raise it"):
         brute_potential_max(fig2, (0, 0), budget=1)
+
+
+def test_oracle_report_reads_the_budget_once(monkeypatch):
+    # one check covers both the scan and the optimum, so a changed
+    # ORACLE_BUDGET cannot refuse the optimum after the scan has run
+    calls = []
+
+    def counting_resolve_budget(budget=None):
+        calls.append(budget)
+        return resolve_budget(budget)
+
+    monkeypatch.setattr(oracle, "resolve_budget", counting_resolve_budget)
+    oracle_report(example_instance("fig2").instance)
+    assert calls == [None]
+    optimal_coverage(example_instance("fig2").instance, budget=8)
+    assert calls == [None, 8]
+
+
+# -------------------------------------------------------- miller apportionment
+
+
+def test_stable_millers_are_exactly_the_stable_multisets():
+    # Every count vector of up to 4 locations with counts 0-4, not all 0, and
+    # every M <= 5: the apportionment lists exactly the miller multisets that
+    # pass the miller inequality, in the order the multisets come.
+    tied = 0
+    for q in range(1, 5):
+        for counts in itertools.product(range(5), repeat=q):
+            if not any(counts):
+                continue
+            for m in range(1, 6):
+                expected = []
+                for vec in itertools.combinations_with_replacement(range(q), m):
+                    at = tuple(vec.count(loc) for loc in range(q))
+                    # no miller at an occupied l gains at any t:
+                    # counts[t]/(at[t]+1) <= counts[l]/at[l]
+                    if all(counts[t] * at[loc] <= counts[loc] * (at[t] + 1)
+                           for loc in range(q) if at[loc] for t in range(q)):
+                        expected.append((vec, at))
+                assert oracle._stable_millers(counts, m) == tuple(expected), (counts, m)
+                tied += len(expected) > 1
+    assert tied >= 1000   # count vectors with more than one apportionment
+
+
+def _ranges_from(rng, locations, num_bakers, size=None):
+    return tuple(
+        tuple(sorted(rng.sample(locations, size or rng.randint(1, len(locations)))))
+        for _ in range(num_bakers)
+    )
+
+
+def test_scan_matches_reference_oracle():
+    # Three shapes: random; tie-heavy, every range the same size, so many
+    # locations hold equal counts; and more millers than locations, with
+    # locations no baker can use. The lists must match entry for entry,
+    # coverage included.
+    rng = fresh_rng(ORACLE_SEED + 4)
+    trials = 0
+    tie_variants = 0   # equilibria sharing their bakers with the one before
+    for shape in ("random", "tied", "crowded") * DIFFERENTIAL_TRIALS:
+        q = rng.randint(1, 5)
+        m = rng.randint(1, 4)
+        n = rng.randint(1, 5)
+        if shape == "random":
+            ranges = _ranges_from(rng, range(q), n)
+        elif shape == "tied":
+            ranges = _ranges_from(rng, range(q), n, size=rng.randint(1, q))
+        else:
+            q = rng.randint(2, 4)
+            m = rng.randint(q + 1, q + 3)
+            ranges = _ranges_from(rng, rng.sample(range(q), rng.randint(1, q - 1)), n)
+        inst = Instance(tuple("abcde"[:q]), m, ranges)
+        found = list(oracle._scan_equilibria(inst))
+        assert found == list(reference_oracle._scan_equilibria(inst)), inst
+        trials += 1
+        tie_variants += sum(a[0].baker_locations == b[0].baker_locations
+                            for a, b in zip(found, found[1:]))
+    assert trials >= 2000
+    assert tie_variants >= 1000   # 3114 at this seed
+
+
+def test_scan_is_unchanged_when_its_cache_fills(monkeypatch):
+    # the per-call cache of stable millers is emptied when full; with room
+    # for two count vectors it empties many times per instance
+    monkeypatch.setattr(oracle, "_CACHED_COUNT_VECTORS", 2)
+    rng = fresh_rng(ORACLE_SEED + 5)
+    for _ in range(200):
+        inst = random_instance(rng, max_bakers=5, max_locations=4, max_millers=4)
+        assert list(oracle._scan_equilibria(inst)) == list(reference_oracle._scan_equilibria(inst))
+
+
+def test_scan_keys_counts_past_255():
+    # 256 bakers, so location 0 can hold a count that no byte holds
+    inst = Instance(("a", "b"), 2, ((0,),) * 254 + ((0, 1),) * 2)
+    found = list(oracle._scan_equilibria(inst))
+    assert found == list(reference_oracle._scan_equilibria(inst))
+    assert [cov for _, cov in found] == [256]

@@ -6,6 +6,7 @@ profile itself, tie-breaks included, against the reference flow on the
 full network (every parallel sink arc, a Bellman-Ford start).
 """
 
+import heapq
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bakermill import solver
 from bakermill import (
     GameError,
     Instance,
@@ -130,6 +132,25 @@ def test_sink_starts_below_every_share():
     # it stops after popping b (1 miller) and never pops g (2 millers).
     inst = Instance(tuple("abcdefg"), 6, ((1, 2, 3, 6),))
     assert phase3_rebalance(inst, (3, 0, 6, 1, 6, 5)) == (6,)
+
+
+def test_searches_stop_once_the_best_share_reaches_the_last(monkeypatch):
+    # Heap pops over a whole solve. Every search run to the end of the
+    # reachable locations pops 10, 7, 18 and 4; the early stop saves the rest.
+    pops = 0
+
+    def counting_heappop(heap):
+        nonlocal pops
+        pops += 1
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(solver, "heappop", counting_heappop)
+    counts = {}
+    for tag in ("fig1", "fig2", "fig3", "fig6"):
+        pops = 0
+        compute_equilibrium(example_instance(tag).instance)
+        counts[tag] = pops
+    assert counts == {"fig1": 9, "fig2": 6, "fig3": 15, "fig6": 2}
 
 
 @st.composite
