@@ -13,10 +13,11 @@ between 4 * 10^6 and the default budget of 10^7:
 - ``crowded``: 3 locations, 4 millers, sixteen bakers who may each use
   the first two locations only.
 
-The results go under ``--label`` into ``--out`` (default
-BENCH_oracle_scale.json at the repo root), next to any other labels
-already there, so running it once against an older checkout's ``src`` and
-once against this one records both sides.
+Each case runs in a fresh interpreter of its own, so its ``peak_rss_mb``
+is that case's peak alone. The results go under ``--label`` into
+``--out`` (default BENCH_oracle_scale.json at the repo root), next to any
+other labels already there, so running it once against an older
+checkout's ``src`` and once against this one records both sides.
 
 Every equilibrium list must hash to the SHA-256 recorded below, so a run
 on any checkout also shows that the equilibria and their order are
@@ -26,6 +27,7 @@ script.
 
 from __future__ import annotations
 
+import multiprocessing
 import random
 import resource
 import sys
@@ -86,7 +88,7 @@ def run_case(case: str) -> dict:
         "report_s": report_s,
         "equilibria": len(report.equilibria),
         "equilibria_sha256": equilibria_hash(report.equilibria),
-        # the process's peak so far, so the first case's is its own
+        # run_case has this process to itself (see main)
         "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
 
@@ -94,8 +96,10 @@ def run_case(case: str) -> dict:
 def main(argv=None) -> int:
     args = parse_args(__doc__, "BENCH_oracle_scale.json", argv)
     results, failures = [], []
+    spawn = multiprocessing.get_context("spawn")
     for case in CASES:
-        row = run_case(case)
+        with spawn.Pool(1) as pool:
+            row = pool.apply(run_case, (case,))
         row["hash_matches"] = row["equilibria_sha256"] == EXPECTED[case]
         if not row["hash_matches"]:
             failures.append(case)
@@ -104,7 +108,8 @@ def main(argv=None) -> int:
               f"  {row['peak_rss_mb']:6.1f} MB"
               f"  {row['equilibria']:6d} equilibria  {row['equilibria_sha256'][:12]}"
               f"  {'ok' if row['hash_matches'] else 'HASH MISMATCH'}", flush=True)
-    return record(args, "oracle_report seconds from one timing each, default budget 10^7",
+    return record(args, "oracle_report seconds from one timing each, default budget 10^7;"
+                  " peak_rss_mb per case, each case in its own process",
                   results, failures)
 
 

@@ -150,13 +150,11 @@ def _scan_equilibria(instance: Instance):
     # (the poa family: every profile has its own) they would only grow.
     by_counts: dict = {}
     shared: dict = {}
-    # a bytes key takes far less room than a tuple, but holds counts below 256 only
-    as_key = bytes if instance.num_bakers < 256 else tuple
     for bakers in product(*ranges):
         bakers_at = [0] * num_locations
         for loc in bakers:
             bakers_at[loc] += 1
-        key = as_key(bakers_at)
+        key = tuple(bakers_at)
         candidates = by_counts.get(key)
         if candidates is None:
             if len(by_counts) == _CACHED_COUNT_VECTORS:
