@@ -12,12 +12,10 @@ from .model import (
     GameError,
     Instance,
     StrategyProfile,
+    _first_moves,
     coverage,
     format_fraction,
-    is_baker_equilibrium,
-    is_miller_equilibrium,
     occupancy,
-    validate_profile,
 )
 from .oracle import BudgetExceededError, oracle_report
 from .reductions import (
@@ -99,22 +97,21 @@ def _cmd_solve(args) -> int:
 
 def _cmd_verify(args) -> int:
     instance = _require_unweighted(_load_instance(args.instance))
+    # parse_profile has checked that the profile fits the instance
     profile = parse_profile(_read_text(args.profile), instance)
-    validate_profile(instance, profile)
     names = instance.locations
-    baker_ok, baker_witness = is_baker_equilibrium(instance, profile)
-    miller_ok, miller_witness = is_miller_equilibrium(instance, profile)
-    if baker_ok:
+    baker_move, miller_move = _first_moves(instance, profile)
+    if baker_move is None:
         print("baker equilibrium: yes")
     else:
-        b, target = baker_witness
+        b, target = baker_move
         print(f"baker equilibrium: no (baker {b} improves by moving to {names[target]})")
-    if miller_ok:
+    if miller_move is None:
         print("miller equilibrium: yes")
     else:
-        m, target = miller_witness
+        m, target = miller_move
         print(f"miller equilibrium: no (miller {m} improves by moving to {names[target]})")
-    print("nash equilibrium:", "yes" if baker_ok and miller_ok else "no")
+    print("nash equilibrium:", "yes" if baker_move is None and miller_move is None else "no")
     return EXIT_OK
 
 
@@ -224,14 +221,14 @@ def _cmd_generate(args) -> int:
 def _cmd_welfare(args) -> int:
     instance = _require_unweighted(_load_instance(args.instance))
     profile = parse_profile(_read_text(args.profile), instance)
-    validate_profile(instance, profile)
     occ = occupancy(instance, profile)
     counts = list(zip(occ.bakers_at, occ.millers_at))
     # the b bakers at a location share its m millers, so their utilities m/b
-    # sum to m there, and the millers' b/m sum to b: both sums are integers
+    # sum to m there, and the millers' b/m sum to b: both sums are integers,
+    # and the millers' sum is the coverage
     baker_sum = sum(m for b, m in counts if b)
     miller_sum = sum(b for b, m in counts if m)
-    print("coverage:", coverage(instance, profile))
+    print("coverage:", miller_sum)
     print("baker utility sum:", format_fraction(baker_sum))
     print("miller utility sum:", format_fraction(miller_sum))
     print("total welfare:", format_fraction(baker_sum + miller_sum))

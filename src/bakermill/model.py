@@ -30,9 +30,7 @@ class InvalidProfileError(GameError):
 
 
 def format_fraction(value) -> str:
-    """Render a rational as ``p/q`` (integers become ``n/1``, infinity ``inf``)."""
-    if value == float("inf"):
-        return "inf"
+    """Render a rational as ``p/q`` (integers become ``n/1``)."""
     f = Fraction(value)
     return f"{f.numerator}/{f.denominator}"
 
@@ -235,30 +233,28 @@ def potential_value(instance, miller_locations, baker_locations) -> Fraction:
     return total
 
 
-def _baker_verdict(instance, profile):
-    bakers_at = location_sums(instance.num_locations, profile.baker_locations)
-    millers_at = location_sums(instance.num_locations, profile.miller_locations)
-    for b, _, t in improving_moves(
-        profile.baker_locations, None, instance.bakers, bakers_at, millers_at
-    ):
-        return False, (b, t)
-    return True, None
+def _first_moves(instance, profile):
+    """The first improving baker move and the first improving miller move,
+    each as ``(agent, target)`` or None, for a profile already known to fit.
 
-
-def _miller_verdict(instance, profile):
+    Both come from one pass over the location sums, each side scanned in
+    (agent id, location index) order.
+    """
     bakers_at = location_sums(instance.num_locations, profile.baker_locations)
     millers_at = location_sums(instance.num_locations, profile.miller_locations)
     anywhere = (range(instance.num_locations),) * instance.num_millers
-    for m, _, t in improving_moves(
-        profile.miller_locations, None, anywhere, millers_at, bakers_at
-    ):
-        return False, (m, t)
-    return True, None
+    firsts = (
+        next(improving_moves(profile.baker_locations, None, instance.bakers,
+                             bakers_at, millers_at), None),
+        next(improving_moves(profile.miller_locations, None, anywhere,
+                             millers_at, bakers_at), None),
+    )
+    return tuple(None if move is None else move[::2] for move in firsts)
 
 
 def _is_nash(instance, profile) -> bool:
     """`is_nash_equilibrium` for a profile already known to fit."""
-    return _baker_verdict(instance, profile)[0] and _miller_verdict(instance, profile)[0]
+    return _first_moves(instance, profile) == (None, None)
 
 
 def is_baker_equilibrium(instance, profile):
@@ -270,7 +266,8 @@ def is_baker_equilibrium(instance, profile):
     in the other two predicates.
     """
     validate_profile(instance, profile)
-    return _baker_verdict(instance, profile)
+    move = _first_moves(instance, profile)[0]
+    return move is None, move
 
 
 def is_miller_equilibrium(instance, profile):
@@ -279,7 +276,8 @@ def is_miller_equilibrium(instance, profile):
     Returns ``(True, None)`` or ``(False, (miller_id, target_location))``.
     """
     validate_profile(instance, profile)
-    return _miller_verdict(instance, profile)
+    move = _first_moves(instance, profile)[1]
+    return move is None, move
 
 
 def is_nash_equilibrium(instance, profile) -> bool:

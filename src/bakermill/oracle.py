@@ -45,8 +45,8 @@ class OracleReport:
     best_ne_witness: StrategyProfile
     worst_ne_coverage: int
     worst_ne_witness: StrategyProfile
-    poa: object  # Fraction, or float("inf") defensively
-    pos: object
+    poa: Fraction
+    pos: Fraction
 
 
 def resolve_budget(budget: int | None = None) -> int:
@@ -210,9 +210,10 @@ def _optimal_coverage(instance: Instance) -> tuple[int, StrategyProfile]:
 def poa_pos(instance: Instance, budget: int | None = None):
     """Price of anarchy and price of stability as exact fractions.
 
-    A worst equilibrium with zero coverage cannot occur (some baker is
-    always covered in equilibrium); should it ever, the ratio degrades to
-    an infinite sentinel rather than a division error.
+    Both are well defined: every equilibrium covers at least one baker. A
+    miller at a location with no baker has utility 0 and would gain by
+    joining any baker, and there is at least one baker and one miller, so
+    in an equilibrium every miller shares a location with some baker.
     """
     report = oracle_report(instance, budget)
     return report.poa, report.pos
@@ -265,8 +266,6 @@ def oracle_report(instance: Instance, budget: int | None = None) -> OracleReport
     examined = prod(len(rng) for rng in instance.bakers) * comb(
         instance.num_locations + instance.num_millers - 1, instance.num_millers
     )
-    poa = Fraction(opt_cov, worst_cov) if worst_cov else float("inf")
-    pos = Fraction(opt_cov, best_cov) if best_cov else float("inf")
     return OracleReport(
         digest=instance_digest(instance),
         profiles_examined=examined,
@@ -277,6 +276,6 @@ def oracle_report(instance: Instance, budget: int | None = None) -> OracleReport
         best_ne_witness=best,
         worst_ne_coverage=worst_cov,
         worst_ne_witness=worst,
-        poa=poa,
-        pos=pos,
+        poa=Fraction(opt_cov, worst_cov),
+        pos=Fraction(opt_cov, best_cov),
     )

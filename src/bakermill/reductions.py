@@ -69,11 +69,15 @@ def _set_locations(problem: CoverageProblem) -> tuple[str, ...]:
     return tuple(f"T{j + 1}" for j in range(len(problem.sets)))
 
 
-def _item_ranges(problem: CoverageProblem) -> list[tuple[int, ...]]:
-    return [
-        tuple(j for j, s in enumerate(problem.sets) if item in s)
-        for item in problem.ground
-    ]
+def _item_ranges(problem: CoverageProblem) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """The ground items, ascending, and each item's range: the indices of
+    the sets holding it, ascending, built in one pass over the sets."""
+    ranges: dict[int, list[int]] = {}
+    for j, s in enumerate(problem.sets):
+        for item in s:
+            ranges.setdefault(item, []).append(j)
+    ground = tuple(sorted(ranges))
+    return ground, [tuple(ranges[item]) for item in ground]
 
 
 def reduce_to_optimum_instance(problem: CoverageProblem) -> CoverageReduction:
@@ -82,12 +86,13 @@ def reduce_to_optimum_instance(problem: CoverageProblem) -> CoverageReduction:
     The best achievable coverage of the instance equals the maximum
     k-coverage value of the problem.
     """
+    ground, ranges = _item_ranges(problem)
     instance = Instance(
         locations=_set_locations(problem),
         num_millers=problem.k,
-        bakers=tuple(_item_ranges(problem)),
+        bakers=tuple(ranges),
     )
-    return CoverageReduction(instance, problem.ground)
+    return CoverageReduction(instance, ground)
 
 
 def reduce_to_optimal_ne_instance(problem: CoverageProblem) -> CoverageReduction:
@@ -97,9 +102,8 @@ def reduce_to_optimal_ne_instance(problem: CoverageProblem) -> CoverageReduction
     put the k millers on k distinct locations; the best equilibrium
     coverage is then the k-coverage optimum plus k*q.
     """
-    ground = problem.ground
+    ground, ranges = _item_ranges(problem)
     q = len(ground) + 1
-    ranges = _item_ranges(problem)
     for j in range(len(problem.sets)):
         ranges.extend([(j,)] * q)
     instance = Instance(

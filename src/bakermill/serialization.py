@@ -103,7 +103,7 @@ def parse_instance(text: str):
             raise ParseError(f"{context}.range: expected a nonempty list of names")
         resolved = []
         for name in rng:
-            if name not in index:
+            if not isinstance(name, str) or name not in index:
                 raise ParseError(f"{context}.range: unknown location {name!r}")
             resolved.append(index[name])
         ranges.append(tuple(resolved))
@@ -179,7 +179,7 @@ def parse_profile(text: str, obj) -> StrategyProfile:
             raise ParseError(f"{kind}: expected {expected} entries, got {len(entries)}")
         out = []
         for i, name in enumerate(entries):
-            if name not in index:
+            if not isinstance(name, str) or name not in index:
                 raise ParseError(f"{kind}[{i}]: unknown location {name!r}")
             out.append(index[name])
         return tuple(out)

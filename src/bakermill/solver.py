@@ -127,11 +127,12 @@ def phase3_rebalance(instance: Instance, miller_locations) -> tuple[int, ...]:
     2. So every node the search can reach lies at distance 0, and keeps
        potential 0: an augmentation only adds arcs into nodes that were
        reachable already. Reachable nodes therefore pop by id alone: the
-       unplaced bakers, then the locations, each followed at once by its
-       parked bakers. A location enters from the first popped location
-       that holds a baker who may move to it, or from none (``None``) if
-       an unplaced baker may, and the path is read back through the first
-       such baker by id.
+       bakers not yet placed, then the locations, each followed at once by
+       its parked bakers. So the bakers not yet placed act as one more row
+       of locations, the source row, that pops first: a location enters
+       from the source row if a baker not yet placed may use it, else from
+       the first popped location that holds a baker who may move to it,
+       and the path is read back through the first such baker by id.
     3. So the sink's predecessor is the first location, in pop order, with
        the largest next share: a later equal share does not lower the
        sink's distance.
@@ -148,18 +149,20 @@ def phase3_rebalance(instance: Instance, miller_locations) -> tuple[int, ...]:
     ranges = instance.bakers
     holders = _holders(instance)
 
-    at: list = [None] * num_bakers
-    parked = [0] * num_locations
-    unplaced = [len(h) for h in holders]   # unplaced bakers that may go to l
-    # links[l][t]: bakers parked at l that may move on to t
+    out = num_locations   # the source row's id: where bakers not yet placed are
+    at = [out] * num_bakers
+    parked = [0] * num_locations + [num_bakers]
+    # links[l][t]: bakers parked at l, or not yet placed for l = out, that
+    # may move on to t. The source row only loses bakers, so its keys stay
+    # ascending and already form a heap.
     links: list[dict[int, int]] = [{} for _ in range(num_locations)]
+    links.append({t: len(h) for t, h in enumerate(holders) if h})
     # the previous path's share, as numerator and denominator
     bound_num, bound_den = max(millers_at), 1
 
     for _ in range(num_bakers):
-        # ascending, so already a heap
-        heap = [loc for loc in range(num_locations) if unplaced[loc]]
-        prev = dict.fromkeys(heap)   # first discoverer; None: an unplaced baker
+        heap = list(links[out])
+        prev = dict.fromkeys(heap, out)   # first discoverer
         best_num, best_den = -1, 1
         while heap:
             u = heappop(heap)
@@ -175,24 +178,19 @@ def phase3_rebalance(instance: Instance, miller_locations) -> tuple[int, ...]:
         bound_num, bound_den = best_num, best_den
 
         # Walk the path back from the sink. Each location on it was entered
-        # by the first baker, by id, who was unplaced or parked at the
+        # by the first baker, by id, who was not yet placed or parked at the
         # location before it; she moves on, and the locations stay distinct.
         loc = last
-        while loc is not None:
+        while loc != out:
             src = prev[loc]
             baker = next(b for b in holders[loc] if at[b] == src)
-            if src is None:
-                for t in ranges[baker]:
-                    unplaced[t] -= 1
-            else:
-                parked[src] -= 1
-                for t in ranges[baker]:
-                    if t != src:
-                        links[src][t] -= 1
-                        if not links[src][t]:
-                            del links[src][t]
+            parked[src] -= 1
             parked[loc] += 1
             for t in ranges[baker]:
+                if t != src:
+                    links[src][t] -= 1
+                    if not links[src][t]:
+                        del links[src][t]
                 if t != loc:
                     links[loc][t] = links[loc].get(t, 0) + 1
             at[baker] = loc

@@ -331,9 +331,14 @@ def test_step_improving_knows_only_first_and_best():
          "script step 1: weight must be None or a positive int, got 1.0"),
         ("scripted", {"script": [ScriptedMove("miller", 0, 2, 0)]}, ScriptError,
          "script step 1: weight must be None or a positive int, got 0"),
+        ("scripted", {"script": [ScriptedMove("farmer", 0, 2)]}, ScriptError,
+         "script step 1: unknown agent kind 'farmer'"),
+        ("scripted", {}, GameError, "policy 'scripted' needs a script"),
+        ("random", {}, GameError, "unknown policy 'random'"),
     ],
     ids=["float-budget", "str-budget", "none-budget", "bool-budget", "int-script-item",
-         "str-origin", "bool-origin", "float-target", "float-weight", "zero-weight"],
+         "str-origin", "bool-origin", "float-target", "float-weight", "zero-weight",
+         "unknown-kind", "no-script", "unknown-policy"],
 )
 def test_run_dynamics_refuses_bad_budgets_and_script_items(fig7, policy, options, error, needle):
     with pytest.raises(error, match=needle):
@@ -376,6 +381,7 @@ def test_weighted_instance_validation():
         ((1, 1, True, 1), (1, 1)),
         ((1, 1, 1, 1), (True, 1)),
         ((1, 1, 1, 1), (1, "2")),
+        ((1, 1, 1, 1), (1,)),  # wrong miller count
     ]:
         with pytest.raises(GameError):
             WeightedInstance(ex.instance, baker_weights, miller_weights)

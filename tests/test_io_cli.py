@@ -405,6 +405,80 @@ def test_cli_coverage_sets_need_integer_items(sets, tmp_path, capsys):
     assert not out.exists()
 
 
+FIG2_PROFILE = '{"bakers": ["x", "x", "x", "y"], "millers": ["x", "x"]}'
+NESTED_NAME_INSTANCE = '{"version": 1, "locations": ["x"], "millers": 1, "bakers": [{"range": [["x"]]}]}'
+NESTED_NAME_PROFILE = '{"bakers": [["x"], "x", "x", "y"], "millers": ["x", "x"]}'
+
+
+def _doc(**fields) -> str:
+    """A valid one-location instance document with some fields replaced."""
+    data = {"version": 1, "locations": ["x"], "millers": 1, "bakers": [{"range": ["x"]}]}
+    data.update(fields)
+    return json.dumps(data)
+
+
+# (argv, files, text the error line holds). The files are written to a tmp
+# directory next to fig2.json and fig2.profile.json, which they may replace,
+# and every argv entry naming one becomes its path.
+BAD_INPUTS = {
+    "no-version": (["solve", "bad.json"], {"bad.json": "{}"}, "missing field 'version'"),
+    "top-level-list": (["solve", "bad.json"], {"bad.json": "[]"},
+                       "document: expected an object at the top level"),
+    "no-locations": (["solve", "bad.json"], {"bad.json": _doc(locations=[])},
+                     "locations: expected a nonempty list of names"),
+    "no-miller-weights": (["solve", "bad.json"], {"bad.json": _doc(millers=[])},
+                          "millers: weight list must be nonempty"),
+    "no-bakers": (["solve", "bad.json"], {"bad.json": _doc(bakers=[])},
+                  "bakers: expected a nonempty list"),
+    "baker-not-object": (["solve", "bad.json"], {"bad.json": _doc(bakers=[1])},
+                         "bakers[0]: expected an object"),
+    **{
+        f"nested-range-name-{cmd}": ([cmd, "bad.json", *extra], {"bad.json": NESTED_NAME_INSTANCE},
+                                     "bakers[0].range: unknown location ['x']")
+        for cmd, extra in (("solve", []), ("oracle", []), ("verify", ["fig2.profile.json"]),
+                           ("welfare", ["fig2.profile.json"]))
+    },
+    "profile-not-json": (["verify", "fig2.json", "fig2.profile.json"],
+                         {"fig2.profile.json": "{"}, "line 1, column 2"),
+    "profile-not-object": (["verify", "fig2.json", "fig2.profile.json"],
+                           {"fig2.profile.json": "[]"},
+                           "profile: expected an object at the top level"),
+    "profile-bakers-not-list": (["verify", "fig2.json", "fig2.profile.json"],
+                                {"fig2.profile.json": '{"bakers": "x", "millers": ["x", "x"]}'},
+                                "bakers: expected a list of location names"),
+    **{
+        f"nested-profile-name-{cmd}": ([cmd, "fig2.json", "fig2.profile.json"],
+                                       {"fig2.profile.json": NESTED_NAME_PROFILE},
+                                       "bakers[0]: unknown location ['x']")
+        for cmd in ("verify", "welfare")
+    },
+    "script-short-line": (["dynamics", "fig2.json", "--script", "bad.script"],
+                          {"bad.script": "miller x"}, "line 1: expected 'kind origin target [weight]'"),
+    "script-zero-weight": (["dynamics", "fig2.json", "--script", "bad.script"],
+                           {"bad.script": "miller x y 0"}, "line 1: weight must be positive"),
+    "script-stays-put": (["dynamics", "fig2.json", "--script", "bad.script"],
+                         {"bad.script": "miller x x"}, "a move must change location"),
+    "sets-not-json": (["generate", "coverage-opt", "--sets", "["], {}, "--sets: Expecting value"),
+    "sets-not-nested": (["generate", "coverage-opt", "--sets", "[1]"], {},
+                        "--sets: expected a list of lists of integers"),
+}
+
+
+@pytest.mark.parametrize("argv, files, needle", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_cli_bad_input_is_one_error_line(argv, files, needle, tmp_path, capsys):
+    texts = {
+        "fig2.json": serialize_instance(example_instance("fig2").instance),
+        "fig2.profile.json": FIG2_PROFILE,
+        **files,
+    }
+    for name, text in texts.items():
+        (tmp_path / name).write_text(text)
+    assert main([str(tmp_path / a) if a in texts else a for a in argv]) == 1
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert needle in err and "Traceback" not in err
+
+
 def test_cli_parser_keeps_no_state_between_calls(fig2_file, capsys, monkeypatch):
     # the parser is built once per process; each call must still start
     # from the declared defaults, whatever an earlier call parsed or refused

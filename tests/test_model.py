@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from bakermill import (
+    GameError,
     Instance,
     InvalidInstanceError,
     InvalidProfileError,
@@ -59,6 +60,7 @@ def test_instance_canonicalizes_ranges():
         (("", "y"), 1, ((0,),)),  # empty name: no file could hold it
         (("a b", "c"), 1, ((0, 1),)),  # whitespace: no script line could hold it
         (("a#b", "c"), 1, ((0, 1),)),  # "#" starts a script comment
+        (("x",), 1, ()),  # no bakers
     ],
 )
 def test_invalid_instances_rejected(locations, millers, bakers):
@@ -84,6 +86,7 @@ def test_predicates_refuse_a_profile_that_does_not_fit():
         (StrategyProfile((0,), (0,)), "expected 2 baker locations"),
         (StrategyProfile((2, 2), (0,)), "baker 0 may not choose"),
         (StrategyProfile((0, 1), (5,)), "unknown location index 5"),
+        (StrategyProfile((0, 1), ()), "expected 1 miller locations"),
     ]:
         for predicate in (is_nash_equilibrium, is_baker_equilibrium, is_miller_equilibrium):
             with pytest.raises(InvalidProfileError, match=needle):
@@ -162,6 +165,8 @@ def test_harmonic_values():
     assert harmonic(1) == 1
     assert harmonic(4) == Fraction(25, 12)
     assert isinstance(harmonic(3), Fraction)
+    with pytest.raises(GameError, match="n >= 0"):
+        harmonic(-1)
 
 
 def test_potential_fig2():
@@ -204,6 +209,40 @@ def test_fig2_both_drawn_states_are_nash():
     inst = fig("fig2").instance
     for name in ("left", "right"):
         assert is_nash_equilibrium(inst, fig("fig2").profiles[name])
+
+
+def test_utilities_refuse_unknown_agents():
+    inst, prof = fig("fig2").instance, fig("fig2").profiles["left"]
+    with pytest.raises(GameError, match="no baker with id 4"):
+        baker_utility(inst, prof, 4)
+    with pytest.raises(GameError, match="no miller with id -1"):
+        miller_utility(inst, prof, -1)
+
+
+def test_witnesses_are_the_first_improving_moves():
+    # the first improving (agent, target) of each side, found by a plain
+    # scan over exact utilities: agents by id, targets ascending
+    def first_move(positions, targets, own, other):
+        for a, loc in enumerate(positions):
+            for t in targets[a]:
+                if t != loc and Fraction(other[t], own[t] + 1) > Fraction(other[loc], own[loc]):
+                    return a, t
+        return None
+
+    rng = fresh_rng(MODEL_SEED + 4)
+    seen = set()
+    for _ in range(500):
+        inst = random_instance(rng)
+        prof = random_profile(rng, inst)
+        occ = occupancy(inst, prof)
+        anywhere = [range(inst.num_locations)] * inst.num_millers
+        baker = first_move(prof.baker_locations, inst.bakers, occ.bakers_at, occ.millers_at)
+        miller = first_move(prof.miller_locations, anywhere, occ.millers_at, occ.bakers_at)
+        assert is_baker_equilibrium(inst, prof) == (baker is None, baker)
+        assert is_miller_equilibrium(inst, prof) == (miller is None, miller)
+        assert is_nash_equilibrium(inst, prof) == (baker is None and miller is None)
+        seen.add((baker is None, miller is None))
+    assert len(seen) == 4   # every combination of verdicts occurs
 
 
 def test_witness_is_first_in_scan_order():
@@ -287,4 +326,3 @@ def test_format_fraction():
     assert format_fraction(Fraction(3, 2)) == "3/2"
     assert format_fraction(Fraction(2)) == "2/1"
     assert format_fraction(Fraction(0)) == "0/1"
-    assert format_fraction(float("inf")) == "inf"

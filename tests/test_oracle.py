@@ -7,8 +7,10 @@ compares whole lists, order and coverage included, with the multiset scan
 kept in reference_oracle.py.
 """
 
+import ast
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -288,3 +290,25 @@ def test_scan_is_unchanged_when_its_cache_fills(monkeypatch):
     for _ in range(200):
         inst = random_instance(rng, max_bakers=5, max_locations=4, max_millers=4)
         assert list(oracle._scan_equilibria(inst)) == list(reference_oracle._scan_equilibria(inst))
+
+
+# what the oracle checks: the solver, and the model's move kernel, location
+# sums, verdicts and potential
+SHARED_WITH_CHECKED_CODE = {
+    "improving_moves", "location_sums", "_first_moves", "potential_value", "harmonic", "_is_nash",
+}
+
+
+def test_oracle_shares_no_code_with_what_it_checks():
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [*(node.module or "").split("."), *(a.name for a in node.names)]
+        elif isinstance(node, ast.Import):
+            names = [part for a in node.names for part in a.name.split(".")]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        assert "solver" not in names, ast.unparse(node)
+        assert not SHARED_WITH_CHECKED_CODE.intersection(names), ast.unparse(node)

@@ -269,6 +269,22 @@ def test_stable_rejects_empty_set():
         stable_from_location_set(inst, set())
 
 
+def test_stable_rejects_an_unknown_location():
+    inst = example_instance("fig2").instance
+    with pytest.raises(GameError, match="unknown location index 2"):
+        stable_from_location_set(inst, {0, 2})
+
+
+def test_stable_on_a_set_no_baker_can_use_is_not_nash():
+    # every baker is withheld, so the miller waits alone at z
+    inst = Instance(("x", "y", "z"), 1, ((0,), (0, 1)))
+    report = stable_from_location_set(inst, {2})
+    assert report.profile == StrategyProfile((0, 0), (2,))
+    assert report.phase1_bakers == (0, 0)
+    assert report.coverage == 0
+    assert not report.is_ne
+
+
 def test_stable_on_optimal_set_is_nash_with_good_coverage():
     rng = fresh_rng(SOLVER_SEED + 8)
     for _ in range(150):
