@@ -188,15 +188,13 @@ def _cmd_generate(args) -> int:
             obj = reduce_to_optimum_instance(problem).instance
         else:
             obj = reduce_to_optimal_ne_instance(problem).instance
-    elif args.family in EXAMPLE_TAGS:
+    else:
         example = example_instance(args.family)
         obj = example.instance
         profiles = dict(example.profiles)
         if example.script is not None:
             scripts["moves"] = example.script
             scripts["cycle"] = fig7_cycle_script()
-    else:
-        raise GameError(f"unknown family {args.family!r}")
 
     text = serialize_instance(obj)
     if args.out:

@@ -18,6 +18,7 @@ from fractions import Fraction
 
 from .model import (
     GameError,
+    GroupIndex,
     Instance,
     StrategyProfile,
     _is_int,
@@ -164,17 +165,19 @@ def step_improving(
 
 
 def _step(winstance: WeightedInstance, profile: StrategyProfile, policy: str,
-          baker_sum, miller_sum) -> Move | None:
+          baker_sum, miller_sum, movers=(None, None)) -> Move | None:
     """`step_improving` for a known policy, a profile known to fit and its
-    per-location weight sums."""
+    per-location weight sums; ``movers`` holds the ascending miller and
+    baker ids to scan, None meaning every agent of that side."""
     best = None
     # the gain other[t]/(own[t]+w) - other[l]/own[l] as num/den with den > 0;
     # every improving gain is positive, so the first candidate beats 0/1
     best_num, best_den = 0, 1
-    for kind, positions, weights, targets, own, other in _sides(
-        winstance, profile, baker_sum, miller_sum
+    for (kind, positions, weights, targets, own, other), agents in zip(
+        _sides(winstance, profile, baker_sum, miller_sum), movers
     ):
-        for agent, origin, target in improving_moves(positions, weights, targets, own, other):
+        for agent, origin, target in improving_moves(positions, weights, targets, own, other,
+                                                     agents):
             if policy == "first":
                 return _move(kind, agent, origin, target, weights[agent], own, other)
             own_after = own[target] + weights[agent]
@@ -272,6 +275,11 @@ def run_dynamics(
     Both sides' weight sums and sorted weight tuples per location are kept
     across steps and updated at the two locations a move touches; the
     tuples, zipped, are the ``state_signature`` of the current profile.
+    "first" and "best" scan only the lowest id of each `GroupIndex` group,
+    kept across steps as well. Under "first" the first improving agent by id
+    is such a lowest id, since a lower id of her group would have the same
+    moves. Under "best" any other agent's move only ties the same move of
+    her group's lowest id, which comes earlier in the scan and so is kept.
     """
     validate_profile(winstance.instance, start)
     if not _is_int(step_budget) or step_budget < 1:
@@ -280,8 +288,14 @@ def run_dynamics(
         if script is None:
             raise GameError("policy 'scripted' needs a script")
         steps = list(script)[:step_budget]
+        groups = None
     elif policy in ("first", "best"):
         steps = range(step_budget)
+        groups = {
+            "miller": GroupIndex(start.miller_locations, winstance.miller_weights),
+            "baker": GroupIndex(start.baker_locations,
+                                zip(winstance.instance.bakers, winstance.baker_weights)),
+        }
     else:
         raise GameError(f"unknown policy {policy!r}")
 
@@ -295,6 +309,7 @@ def run_dynamics(
     seen = {signature: 0}
     status = None
     revisit = None
+    movers = (None, None) if groups is None else (groups["miller"].reps, groups["baker"].reps)
     for k, step in enumerate(steps):
         if policy == "scripted":
             try:
@@ -302,7 +317,7 @@ def run_dynamics(
             except ScriptError as exc:
                 raise ScriptError(f"script step {k + 1}: {exc}") from None
         else:
-            move = _step(winstance, profile, policy, baker_sum, miller_sum)
+            move = _step(winstance, profile, policy, baker_sum, miller_sum, movers)
         if move is None:
             status = "converged-to-NE"
             break
@@ -315,6 +330,8 @@ def run_dynamics(
         else:
             _shift(miller_sum, miller_cells, winstance.miller_weights[move.agent],
                    move.origin, move.target)
+        if groups is not None:
+            groups[move.kind].move(move.agent, move.origin, move.target)
         sig = tuple(zip(baker_cells, miller_cells))
         if sig in seen:
             status = "cycle-detected"
@@ -322,7 +339,7 @@ def run_dynamics(
             break
         seen[sig] = len(states) - 1
     if status is None:
-        if _step(winstance, profile, "first", baker_sum, miller_sum) is None:
+        if _step(winstance, profile, "first", baker_sum, miller_sum, movers) is None:
             status = "converged-to-NE"
         else:
             status = "step-budget-exhausted"

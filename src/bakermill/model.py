@@ -13,6 +13,7 @@ no rounding can creep into a verdict.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -155,7 +156,7 @@ def location_sums(num_locations: int, positions, weights=None) -> list[int]:
     return sums
 
 
-def improving_moves(positions, weights, targets, own, other):
+def improving_moves(positions, weights, targets, own, other, agents=None):
     """Yield every strictly improving unilateral move of one side.
 
     An agent's utility is ``other[l] / own[l]`` at her location ``l``, where
@@ -164,15 +165,58 @@ def improving_moves(positions, weights, targets, own, other):
     from ``l`` to ``t`` is strictly improving exactly when
     ``other[t] * own[l] > other[l] * (own[t] + w)``. ``weights`` None means
     unit weights, the plain game; ``targets[a]`` lists agent ``a``'s allowed
-    locations in ascending order. Moves come as ``(agent, origin, target)``
-    in (agent id, target index) order.
+    locations in ascending order. ``agents`` lists the agent ids to scan in
+    ascending order, None meaning every agent. Moves come as
+    ``(agent, origin, target)`` in (agent id, target index) order.
     """
-    for a, loc in enumerate(positions):
+    if agents is None:
+        movers = enumerate(positions)
+    else:
+        movers = zip(agents, map(positions.__getitem__, agents))
+    for a, loc in movers:
         w = 1 if weights is None else weights[a]
         own_here, other_here = own[loc], other[loc]
         for t in targets[a]:
             if t != loc and other[t] * own_here > other_here * (own[t] + w):
                 yield a, loc, t
+
+
+class GroupIndex:
+    """The lowest id of each group of one side's agents, kept across moves.
+
+    A group is the agents at one location with one fixed class: for a
+    miller her weight, for a baker her range and weight. Two agents of a
+    group have the same improving moves with the same gains, so scanning
+    ``reps``, the ascending list of every group's lowest id, with
+    `improving_moves` finds each move in its first place in the full scan
+    order. ``move`` keeps ``reps`` exact, in place, in O(group size +
+    groups) list work.
+    """
+
+    def __init__(self, positions, classes):
+        self._classes = tuple(classes)
+        self._members: dict[tuple, list[int]] = {}
+        for a, key in enumerate(zip(positions, self._classes)):
+            self._members.setdefault(key, []).append(a)
+        self.reps = sorted(group[0] for group in self._members.values())
+
+    def move(self, agent: int, origin: int, target: int) -> None:
+        """Agent ``agent`` moved from location ``origin`` to ``target``."""
+        cls = self._classes[agent]
+        group = self._members[origin, cls]
+        if group[0] == agent:
+            del self.reps[bisect_left(self.reps, agent)]
+            if len(group) > 1:
+                insort(self.reps, group[1])
+        group.remove(agent)
+        if not group:
+            del self._members[origin, cls]
+        group = self._members.setdefault((target, cls), [])
+        insort(group, agent)
+        if group[0] == agent:
+            if len(group) > 1:
+                del self.reps[bisect_left(self.reps, group[1])]
+            insort(self.reps, agent)
 
 
 def occupancy(instance: Instance, profile: StrategyProfile) -> Occupancy:

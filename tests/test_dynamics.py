@@ -8,6 +8,7 @@ while a single 7-move pass lands on a location-rotated copy of the start.
 import itertools
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +35,7 @@ from bakermill import (
     trace_lines,
     weighted_utilities,
 )
+from bakermill.model import GroupIndex
 from conftest import DYNAMICS_SEED, fresh_rng, random_instance, random_profile
 from reference_dynamics import run_dynamics as reference_run_dynamics
 
@@ -529,3 +531,105 @@ def test_fig7_script_prefixes_match_reference_dynamics(fig7):
         assert trace == reference_run_dynamics(w, start, policy="scripted", script=script[:end])
         assert_revisit_is_first_repeat(w, trace)
     assert trace.status == "cycle-detected"
+
+
+# ------------------------------------------- one mover per group of identical agents
+
+
+def grouped_instance(rng):
+    """Bakers drawn from 2-3 range templates, at least twice as many millers
+    as locations, every weight 1 or 2: most agents share their location,
+    range and weight with a lower id."""
+    num_locations = rng.randint(2, 5)
+    templates = [tuple(sorted(rng.sample(range(num_locations), rng.randint(1, num_locations))))
+                 for _ in range(rng.randint(2, 3))]
+    num_bakers = rng.randint(4, 16)
+    num_millers = rng.randint(2 * num_locations, 3 * num_locations)
+    inst = Instance(tuple("abcde"[:num_locations]), num_millers,
+                    tuple(rng.choice(templates) for _ in range(num_bakers)))
+    return WeightedInstance(inst, tuple(rng.randint(1, 2) for _ in range(num_bakers)),
+                            tuple(rng.randint(1, 2) for _ in range(num_millers)))
+
+
+def lowest_ids(positions, classes):
+    """From scratch: the ascending lowest id of each (location, class)."""
+    lowest = {}
+    for a, key in enumerate(zip(positions, classes)):
+        lowest.setdefault(key, a)
+    return sorted(lowest.values())
+
+
+def non_representative_can_move(winstance, profile):
+    """Whether an agent that is not the lowest id of her group (same side,
+    location, weight and, for a baker, range) has an improving move."""
+    lowest = {
+        "miller": set(lowest_ids(profile.miller_locations, winstance.miller_weights)),
+        "baker": set(lowest_ids(profile.baker_locations,
+                                zip(winstance.instance.bakers, winstance.baker_weights))),
+    }
+    return any(agent not in lowest[kind]
+               for kind, agent, *_ in reference_improving_moves(winstance, profile))
+
+
+def test_traces_match_reference_dynamics_with_many_agents_per_group():
+    # the step loop scans only the lowest id of each group; the reference
+    # scans every agent, so any other choice of mover shows as another id
+    rng = fresh_rng(DYNAMICS_SEED + 4)
+    shadowed_steps = Counter()
+    for _ in range(150):
+        w = grouped_instance(rng)
+        start = random_profile(rng, w.instance)
+        budget = rng.randint(1, 40)
+        for policy in ("first", "best"):
+            trace = run_dynamics(w, start, policy=policy, step_budget=budget)
+            assert trace == reference_run_dynamics(w, start, policy=policy, step_budget=budget)
+            for state in trace.states[:len(trace.moves)]:
+                shadowed_steps[policy] += non_representative_can_move(w, state)
+    for policy in ("first", "best"):
+        assert shadowed_steps[policy] >= 300, shadowed_steps
+
+
+def test_group_index_stays_exact_across_moves():
+    # replays seeded traces through one index per side and rebuilds the
+    # representatives after every move
+    rng = fresh_rng(DYNAMICS_SEED + 5)
+    moves = Counter()
+    for k in range(200):
+        if k % 2:
+            w = grouped_instance(rng)
+        else:
+            inst = random_instance(rng, max_bakers=20, max_locations=6, max_millers=12)
+            w = WeightedInstance(inst, tuple(rng.randint(1, 3) for _ in range(inst.num_bakers)),
+                                 tuple(rng.randint(1, 3) for _ in range(inst.num_millers)))
+        start = random_profile(rng, w.instance)
+        sides = {
+            "miller": (lambda state: state.miller_locations, w.miller_weights),
+            "baker": (lambda state: state.baker_locations,
+                      tuple(zip(w.instance.bakers, w.baker_weights))),
+        }
+        for policy in ("first", "best"):
+            trace = run_dynamics(w, start, policy=policy, step_budget=40)
+            index = {kind: GroupIndex(positions(start), classes)
+                     for kind, (positions, classes) in sides.items()}
+            for move, state in zip(trace.moves, trace.states[1:]):
+                index[move.kind].move(move.agent, move.origin, move.target)
+                for kind, (positions, classes) in sides.items():
+                    assert index[kind].reps == lowest_ids(positions(state), classes)
+                moves[policy, move.kind] += 1
+    for policy in ("first", "best"):
+        for kind in ("miller", "baker"):
+            assert moves[policy, kind] >= 100, moves
+
+
+@pytest.mark.parametrize("weights", ["unit", "random"])
+@pytest.mark.parametrize("policy", ["first", "best"])
+def test_dynamics_keep_the_scale_script_hashes(monkeypatch, weights, policy):
+    # The 400 x 30 x 60 cases of scripts/dynamics_scale.py, whose hashes
+    # were recorded from the step loop that rebuilt sums and signatures on
+    # every step and scanned every agent.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "scripts"))
+    from dynamics_scale import EXPECTED, STEP_BUDGET, build, trace_hash
+
+    winstance, start = build(400, 30, 60, weights)
+    trace = run_dynamics(winstance, start, policy, STEP_BUDGET)
+    assert trace_hash(trace) == EXPECTED[f"400x30x60:{weights}:{policy}"]

@@ -499,3 +499,12 @@ def test_cli_unknown_command_exits_with_usage(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
     assert "usage" in capsys.readouterr().err
+
+
+def test_cli_unknown_family_exits_2_with_usage(capsys):
+    # argparse refuses the family before generate runs
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "fig99"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "invalid choice: 'fig99'" in err
