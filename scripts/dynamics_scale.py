@@ -1,13 +1,17 @@
-"""One-shot dynamics scale run: seconds per run at sizes the bench skips.
+"""One-shot dynamics scale run: seconds and memory per run at sizes the bench skips.
 
     python3 scripts/dynamics_scale.py [--src DIR] [--label NAME] [--out FILE]
 
-Times ``run_dynamics`` once per case, under "first" and "best" with a step
-budget of 120, on seeded instances of 400 bakers x 30 locations x 60
-millers and 2000 x 100 x 300, each with unit weights and with random
-weights 1-5. Ranges hold 1-5 random locations, and every run starts with
-each baker at her lowest location and every miller at location 0. The
-results go under ``--label`` into ``--out`` (default
+Times ``run_dynamics`` once per case, under "first" and "best", on seeded
+instances of 400 bakers x 30 locations x 60 millers and 2000 x 100 x 300,
+each with unit weights and with random weights 1-5. Ranges hold 1-5
+random locations, and every run starts with each baker at her lowest
+location and every miller at location 0. Every case runs with a step
+budget of 120, and the 2000 x 100 x 300 cases run once more with a budget
+of 20,000, which each of them reaches convergence within, so that their
+``peak_rss_mb`` shows what a whole run keeps. Each case runs in a fresh
+interpreter of its own, so its ``peak_rss_mb`` is that case's peak alone.
+The results go under ``--label`` into ``--out`` (default
 BENCH_dynamics_scale.json at the repo root), next to any other labels
 already there, so running it once against an older checkout's ``src`` and
 once against this one records both sides.
@@ -21,19 +25,26 @@ checks the four 400 x 30 x 60 cases against these hashes, through
 
 from __future__ import annotations
 
+import multiprocessing
 import random
+import resource
 import sys
 
 from scale_common import parse_args, record, sha256_hex, timed
 
-CASES = ((400, 30, 60), (2000, 100, 300))
 WEIGHTS = ("unit", "random")
 POLICIES = ("first", "best")
 STEP_BUDGET = 120
+CONVERGENCE_BUDGET = 20_000
+# (bakers, locations, millers, step budget)
+CASES = ((400, 30, 60, STEP_BUDGET), (2000, 100, 300, STEP_BUDGET),
+         (2000, 100, 300, CONVERGENCE_BUDGET))
 
 # SHA-256 of the status, the revisit index and one line per move (kind,
 # agent, origin, target, utility before and after), recorded from the step
-# loop that rebuilt sums and signatures on every step.
+# loop that rebuilt sums and signatures on every step; the runs to
+# convergence, keyed with their budget, from the loop that kept a profile
+# per step.
 EXPECTED = {
     "400x30x60:unit:first":
         "b8791efe14326e387557ddf1901ddc4473a88d533fab5a4a9c790cd6c2bc5bd4",
@@ -51,6 +62,14 @@ EXPECTED = {
         "267eea1835a80d90af9569ef75b5c8c521d8b2269a2cf272513c38a1fa07fd8f",
     "2000x100x300:random:best":
         "f3fab3eacc1fb7231fdf95f5e168cadb9648e5b8b647e9749c5c39e74749a958",
+    "2000x100x300:unit:first:budget20000":
+        "91e02d6843a726bdc0a1bcd71135f0e827faeef426f2bcfe5038f7fcf0d04774",
+    "2000x100x300:unit:best:budget20000":
+        "07c824e133a42ea44b2816ae8a53d3f136054f32fb4190270eb62e1844f8825d",
+    "2000x100x300:random:first:budget20000":
+        "ea44e4941668c8d15d91a130719097aaef1b769f7e5d9e528b9a44cd35946ddf",
+    "2000x100x300:random:best:budget20000":
+        "325c02bff813197b2732df0d99480d9f19a0dd71563d6b5a9e868d0431f8d1a6",
 }
 
 
@@ -78,41 +97,50 @@ def trace_hash(trace) -> str:
     return sha256_hex("\n".join(lines))
 
 
-def run_case(n: int, q: int, m: int, weights: str, policy: str) -> dict:
+def run_case(n: int, q: int, m: int, weights: str, policy: str, budget: int) -> dict:
     from bakermill import run_dynamics
 
     winstance, start = build(n, q, m, weights)
-    trace, run_s = timed(run_dynamics, winstance, start, policy, STEP_BUDGET)
+    trace, run_s = timed(run_dynamics, winstance, start, policy, budget)
     return {
         "bakers": n,
         "locations": q,
         "millers": m,
         "weights": weights,
         "policy": policy,
+        "step_budget": budget,
         "run_s": run_s,
         "moves": len(trace.moves),
         "status": trace.status,
         "trace_sha256": trace_hash(trace),
+        # run_case has this process to itself (see main)
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
     }
 
 
 def main(argv=None) -> int:
     args = parse_args(__doc__, "BENCH_dynamics_scale.json", argv)
     results, failures = [], []
-    for n, q, m in CASES:
+    spawn = multiprocessing.get_context("spawn")
+    for n, q, m, budget in CASES:
         for weights in WEIGHTS:
             for policy in POLICIES:
-                row = run_case(n, q, m, weights, policy)
+                with spawn.Pool(1) as pool:
+                    row = pool.apply(run_case, (n, q, m, weights, policy, budget))
                 key = f"{n}x{q}x{m}:{weights}:{policy}"
+                if budget != STEP_BUDGET:
+                    key += f":budget{budget}"
                 row["hash_matches"] = row["trace_sha256"] == EXPECTED.get(key)
                 if not row["hash_matches"]:
                     failures.append(key)
                 results.append(row)
-                print(f"{key:>26}  {row['run_s']:8.4f} s  {row['moves']:4d} moves"
-                      f"  {row['status']:<22} {row['trace_sha256'][:12]}"
+                print(f"{key:>38}  {row['run_s']:8.4f} s  {row['moves']:5d} moves"
+                      f"  {row['peak_rss_mb']:6.1f} MB  {row['status']:<22}"
+                      f" {row['trace_sha256'][:12]}"
                       f"  {'ok' if row['hash_matches'] else 'HASH MISMATCH'}", flush=True)
-    return record(args, f"run_dynamics seconds from one timing each, step budget "
-                  f"{STEP_BUDGET}; seeded instances with ranges of 1-5 locations",
+    return record(args, "run_dynamics seconds from one timing each, step budget "
+                  f"{STEP_BUDGET} or {CONVERGENCE_BUDGET}; seeded instances with ranges of "
+                  "1-5 locations; peak_rss_mb per case, each case in its own process",
                   results, failures)
 
 

@@ -12,16 +12,16 @@ conflated (ranges make locations genuinely different in general).
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import (
     GameError,
-    GroupIndex,
     Instance,
     StrategyProfile,
     _is_int,
+    format_fraction,
     improving_moves,
     location_sums,
     validate_profile,
@@ -81,32 +81,104 @@ class ScriptedMove:
 
 @dataclass(frozen=True)
 class DynamicsTrace:
+    """A run's start, its moves and how it ended.
+
+    ``status`` is converged-to-NE, cycle-detected or step-budget-exhausted;
+    ``revisit_index`` is the index in ``states`` of the state the last move
+    returned to, or None.
+    """
+
     initial: StrategyProfile
     moves: tuple[Move, ...]
-    states: tuple[StrategyProfile, ...]   # states[0] is the initial profile
-    status: str    # converged-to-NE | cycle-detected | step-budget-exhausted
+    status: str
     revisit_index: int | None
 
+    @property
+    def states(self) -> tuple[StrategyProfile, ...]:
+        """Every profile of the run, ``states[0]`` being ``initial``,
+        rebuilt by replaying ``moves`` on ``initial``."""
+        positions = {"baker": list(self.initial.baker_locations),
+                     "miller": list(self.initial.miller_locations)}
+        states = [self.initial]
+        for move in self.moves:
+            positions[move.kind][move.agent] = move.target
+            states.append(StrategyProfile(positions["baker"], positions["miller"]))
+        return tuple(states)
 
-def _sums(winstance: WeightedInstance, profile: StrategyProfile):
-    """Per-location weight sums ``(baker_sum, miller_sum)`` of a profile."""
-    num_locations = winstance.instance.num_locations
-    return (
-        location_sums(num_locations, profile.baker_locations, winstance.baker_weights),
-        location_sums(num_locations, profile.miller_locations, winstance.miller_weights),
-    )
+
+class _Side:
+    """One side's state, kept across steps and updated in place by `move`.
+
+    It holds the side's ``positions`` by agent id, its ``weights`` and
+    allowed ``targets``, its per-location weight ``sums`` and, per
+    location, the sorted tuple of its weights there (its ``cells``). With
+    ``classes`` it also keeps ``reps``, the ascending lowest id of every
+    group: the agents at one location with one fixed class, for a miller
+    her weight, for a baker her range and weight. Two agents of a group
+    have the same improving moves with the same gains, so scanning ``reps``
+    with `improving_moves` finds each move in its first place in the full
+    scan order. Without ``classes``, ``reps`` is None: scan every agent.
+    """
+
+    def __init__(self, kind, positions, weights, targets, num_locations, classes=None):
+        self.kind, self.weights, self.targets = kind, weights, targets
+        self.positions = list(positions)
+        self.sums = location_sums(num_locations, positions, weights)
+        cells: list[list[int]] = [[] for _ in range(num_locations)]
+        for loc, w in zip(positions, weights):
+            cells[loc].append(w)
+        self.cells = [tuple(sorted(here)) for here in cells]
+        self.reps = None
+        if classes is not None:
+            self._classes = tuple(classes)
+            self._members: dict[tuple, list[int]] = {}
+            for a, key in enumerate(zip(positions, self._classes)):
+                self._members.setdefault(key, []).append(a)
+            self.reps = sorted(group[0] for group in self._members.values())
+
+    def move(self, agent: int, target: int) -> None:
+        """Agent ``agent`` moves to ``target``; only her origin and target
+        change, and ``reps`` stays exact in O(group size + groups) list work."""
+        origin, weight = self.positions[agent], self.weights[agent]
+        self.positions[agent] = target
+        self.sums[origin] -= weight
+        self.sums[target] += weight
+        here = self.cells[origin]
+        i = bisect_left(here, weight)
+        self.cells[origin] = here[:i] + here[i + 1:]
+        there = self.cells[target]
+        i = bisect_left(there, weight)
+        self.cells[target] = there[:i] + (weight,) + there[i:]
+        if self.reps is None:
+            return
+        cls = self._classes[agent]
+        group = self._members[origin, cls]
+        if group[0] == agent:
+            del self.reps[bisect_left(self.reps, agent)]
+            if len(group) > 1:
+                insort(self.reps, group[1])
+        group.remove(agent)
+        if not group:
+            del self._members[origin, cls]
+        group = self._members.setdefault((target, cls), [])
+        insort(group, agent)
+        if group[0] == agent:
+            if len(group) > 1:
+                del self.reps[bisect_left(self.reps, group[1])]
+            insort(self.reps, agent)
 
 
-def _sides(winstance: WeightedInstance, profile: StrategyProfile, baker_sum, miller_sum):
-    """Millers then bakers, each as (kind, positions, weights, targets, own
-    weight sums, other side's weight sums) for `improving_moves`."""
+def _sides(winstance: WeightedInstance, profile: StrategyProfile, grouped: bool = False):
+    """Millers then bakers as `_Side` records of a profile known to fit;
+    ``grouped`` keeps each side's group representatives as well."""
     instance = winstance.instance
-    anywhere = (range(instance.num_locations),) * instance.num_millers
+    num_locations = instance.num_locations
+    anywhere = (range(num_locations),) * instance.num_millers
     return (
-        ("miller", profile.miller_locations, winstance.miller_weights, anywhere,
-         miller_sum, baker_sum),
-        ("baker", profile.baker_locations, winstance.baker_weights, instance.bakers,
-         baker_sum, miller_sum),
+        _Side("miller", profile.miller_locations, winstance.miller_weights, anywhere,
+              num_locations, winstance.miller_weights if grouped else None),
+        _Side("baker", profile.baker_locations, winstance.baker_weights, instance.bakers,
+              num_locations, zip(instance.bakers, winstance.baker_weights) if grouped else None),
     )
 
 
@@ -115,29 +187,17 @@ def weighted_utilities(winstance: WeightedInstance, profile: StrategyProfile):
 
     Returns ``(baker_utilities, miller_utilities)`` indexed by agent id.
     """
-    baker_sum, miller_sum = _sums(winstance, profile)
-    bakers = tuple(
-        Fraction(miller_sum[loc], baker_sum[loc]) for loc in profile.baker_locations
+    millers, bakers = _sides(winstance, profile)
+    return (
+        tuple(Fraction(millers.sums[loc], bakers.sums[loc]) for loc in profile.baker_locations),
+        tuple(Fraction(bakers.sums[loc], millers.sums[loc]) for loc in profile.miller_locations),
     )
-    millers = tuple(
-        Fraction(baker_sum[loc], miller_sum[loc]) for loc in profile.miller_locations
-    )
-    return bakers, millers
 
 
 def state_signature(winstance: WeightedInstance, profile: StrategyProfile):
     """Canonical state with agent identities forgotten, locations kept."""
-    num_locations = winstance.instance.num_locations
-    bakers: list[list[int]] = [[] for _ in range(num_locations)]
-    millers: list[list[int]] = [[] for _ in range(num_locations)]
-    for b, loc in enumerate(profile.baker_locations):
-        bakers[loc].append(winstance.baker_weights[b])
-    for m, loc in enumerate(profile.miller_locations):
-        millers[loc].append(winstance.miller_weights[m])
-    return tuple(
-        (tuple(sorted(bakers[loc])), tuple(sorted(millers[loc])))
-        for loc in range(num_locations)
-    )
+    millers, bakers = _sides(winstance, profile)
+    return tuple(zip(bakers.cells, millers.cells))
 
 
 def _move(kind, agent, origin, target, weight, own, other) -> Move:
@@ -161,35 +221,32 @@ def step_improving(
     if policy not in ("first", "best"):
         raise GameError(f"unknown policy {policy!r}")
     validate_profile(winstance.instance, profile)
-    return _step(winstance, profile, policy, *_sums(winstance, profile))
+    return _step(*_sides(winstance, profile), policy)
 
 
-def _step(winstance: WeightedInstance, profile: StrategyProfile, policy: str,
-          baker_sum, miller_sum, movers=(None, None)) -> Move | None:
-    """`step_improving` for a known policy, a profile known to fit and its
-    per-location weight sums; ``movers`` holds the ascending miller and
-    baker ids to scan, None meaning every agent of that side."""
+def _step(millers: _Side, bakers: _Side, policy: str) -> Move | None:
+    """`step_improving` for a known policy on the current side records,
+    each scanning its ``reps`` or, when None, every agent."""
     best = None
     # the gain other[t]/(own[t]+w) - other[l]/own[l] as num/den with den > 0;
     # every improving gain is positive, so the first candidate beats 0/1
     best_num, best_den = 0, 1
-    for (kind, positions, weights, targets, own, other), agents in zip(
-        _sides(winstance, profile, baker_sum, miller_sum), movers
-    ):
-        for agent, origin, target in improving_moves(positions, weights, targets, own, other,
-                                                     agents):
+    for side, other in ((millers, bakers.sums), (bakers, millers.sums)):
+        own, weights = side.sums, side.weights
+        for agent, origin, target in improving_moves(side.positions, weights, side.targets,
+                                                     own, other, side.reps):
             if policy == "first":
-                return _move(kind, agent, origin, target, weights[agent], own, other)
+                return _move(side.kind, agent, origin, target, weights[agent], own, other)
             own_after = own[target] + weights[agent]
             num = other[target] * own[origin] - other[origin] * own_after
             den = own_after * own[origin]
             if num * best_den > best_num * den:
-                best = (kind, agent, origin, target, weights[agent], own, other)
+                best = (side.kind, agent, origin, target, weights[agent], own, other)
                 best_num, best_den = num, den
     return None if best is None else _move(*best)
 
 
-def _apply_scripted(winstance, profile, scripted, baker_sum, miller_sum) -> Move:
+def _apply_scripted(winstance, millers: _Side, bakers: _Side, scripted) -> Move:
     instance = winstance.instance
     names = instance.locations
     if not isinstance(scripted, ScriptedMove):
@@ -204,12 +261,10 @@ def _apply_scripted(winstance, profile, scripted, baker_sum, miller_sum) -> Move
     if scripted.origin == scripted.target:
         raise ScriptError("a move must change location")
 
-    miller_side, baker_side = _sides(winstance, profile, baker_sum, miller_sum)
-    kind, positions, weights, _, own, other = (
-        miller_side if scripted.kind == "miller" else baker_side
-    )
+    side, other = (millers, bakers.sums) if scripted.kind == "miller" else (bakers, millers.sums)
+    own, weights = side.sums, side.weights
     agent = None
-    for a, loc in enumerate(positions):
+    for a, loc in enumerate(side.positions):
         if loc == scripted.origin and (scripted.weight is None or weights[a] == scripted.weight):
             agent = a
             break
@@ -224,36 +279,13 @@ def _apply_scripted(winstance, profile, scripted, baker_sum, miller_sum) -> Move
         )
 
     origin, target, weight = scripted.origin, scripted.target, weights[agent]
-    move = _move(kind, agent, origin, target, weight, own, other)
+    move = _move(side.kind, agent, origin, target, weight, own, other)
     if not any(improving_moves((origin,), (weight,), ((target,),), own, other)):
         raise ScriptError(
-            f"{kind} move {names[origin]!r} -> {names[target]!r} is not improving "
+            f"{side.kind} move {names[origin]!r} -> {names[target]!r} is not improving "
             f"({move.utility_before} -> {move.utility_after})"
         )
     return move
-
-
-def _apply(profile: StrategyProfile, move: Move) -> StrategyProfile:
-    if move.kind == "miller":
-        millers = list(profile.miller_locations)
-        millers[move.agent] = move.target
-        return StrategyProfile(profile.baker_locations, tuple(millers))
-    bakers = list(profile.baker_locations)
-    bakers[move.agent] = move.target
-    return StrategyProfile(tuple(bakers), profile.miller_locations)
-
-
-def _shift(sums, cells, weight, origin, target) -> None:
-    """Move one agent of ``weight`` from ``origin`` to ``target`` in one
-    side's weight sums and sorted weight tuples; no other location changes."""
-    sums[origin] -= weight
-    sums[target] += weight
-    here = cells[origin]
-    i = bisect_left(here, weight)
-    cells[origin] = here[:i] + here[i + 1:]
-    there = cells[target]
-    i = bisect_left(there, weight)
-    cells[target] = there[:i] + (weight,) + there[i:]
 
 
 def run_dynamics(
@@ -272,14 +304,15 @@ def run_dynamics(
     that is not a ScriptedMove. A revisit means the current canonical state
     equals an earlier one exactly. ``step_budget`` must be a positive int.
 
-    Both sides' weight sums and sorted weight tuples per location are kept
-    across steps and updated at the two locations a move touches; the
-    tuples, zipped, are the ``state_signature`` of the current profile.
-    "first" and "best" scan only the lowest id of each `GroupIndex` group,
-    kept across steps as well. Under "first" the first improving agent by id
-    is such a lowest id, since a lower id of her group would have the same
-    moves. Under "best" any other agent's move only ties the same move of
-    her group's lowest id, which comes earlier in the scan and so is kept.
+    Each side's state is one `_Side` record, updated in place at the two
+    locations a move touches; both sides' cells together are the
+    ``state_signature`` of the current profile, flattened. No profile is
+    kept per step: the trace's ``states`` replays its moves on demand.
+    "first" and "best" scan only each side's group representatives. Under
+    "first" the first improving agent by id is such a lowest id, since a
+    lower id of her group would have the same moves. Under "best" any other
+    agent's move only ties the same move of her group's lowest id, which
+    comes earlier in the scan and so is kept.
     """
     validate_profile(winstance.instance, start)
     if not _is_int(step_budget) or step_budget < 1:
@@ -288,68 +321,47 @@ def run_dynamics(
         if script is None:
             raise GameError("policy 'scripted' needs a script")
         steps = list(script)[:step_budget]
-        groups = None
     elif policy in ("first", "best"):
         steps = range(step_budget)
-        groups = {
-            "miller": GroupIndex(start.miller_locations, winstance.miller_weights),
-            "baker": GroupIndex(start.baker_locations,
-                                zip(winstance.instance.bakers, winstance.baker_weights)),
-        }
     else:
         raise GameError(f"unknown policy {policy!r}")
 
-    profile = start
-    baker_sum, miller_sum = _sums(winstance, start)
-    signature = state_signature(winstance, start)
-    baker_cells = [bakers for bakers, _ in signature]
-    miller_cells = [millers for _, millers in signature]
-    states = [start]
+    millers, bakers = _sides(winstance, start, grouped=policy != "scripted")
     moves: list[Move] = []
-    seen = {signature: 0}
+    # both sides have one cell per location, so the flat tuple of the two
+    # lists compares exactly as the zipped state signature does
+    seen = {tuple(bakers.cells + millers.cells): 0}
     status = None
     revisit = None
-    movers = (None, None) if groups is None else (groups["miller"].reps, groups["baker"].reps)
     for k, step in enumerate(steps):
         if policy == "scripted":
             try:
-                move = _apply_scripted(winstance, profile, step, baker_sum, miller_sum)
+                move = _apply_scripted(winstance, millers, bakers, step)
             except ScriptError as exc:
                 raise ScriptError(f"script step {k + 1}: {exc}") from None
         else:
-            move = _step(winstance, profile, policy, baker_sum, miller_sum, movers)
+            move = _step(millers, bakers, policy)
         if move is None:
             status = "converged-to-NE"
             break
-        profile = _apply(profile, move)
         moves.append(move)
-        states.append(profile)
-        if move.kind == "baker":
-            _shift(baker_sum, baker_cells, winstance.baker_weights[move.agent],
-                   move.origin, move.target)
-        else:
-            _shift(miller_sum, miller_cells, winstance.miller_weights[move.agent],
-                   move.origin, move.target)
-        if groups is not None:
-            groups[move.kind].move(move.agent, move.origin, move.target)
-        sig = tuple(zip(baker_cells, miller_cells))
-        if sig in seen:
+        (bakers if move.kind == "baker" else millers).move(move.agent, move.target)
+        key = tuple(bakers.cells + millers.cells)
+        if key in seen:
             status = "cycle-detected"
-            revisit = seen[sig]
+            revisit = seen[key]
             break
-        seen[sig] = len(states) - 1
+        seen[key] = len(moves)
     if status is None:
-        if _step(winstance, profile, "first", baker_sum, miller_sum, movers) is None:
+        if _step(millers, bakers, "first") is None:
             status = "converged-to-NE"
         else:
             status = "step-budget-exhausted"
-    return DynamicsTrace(start, tuple(moves), tuple(states), status, revisit)
+    return DynamicsTrace(start, tuple(moves), status, revisit)
 
 
 def trace_lines(trace: DynamicsTrace, winstance: WeightedInstance) -> list[str]:
     """One record per move: kind, id, from, to, utility before and after."""
-    from .model import format_fraction
-
     names = winstance.instance.locations
     return [
         " ".join(

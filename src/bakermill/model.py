@@ -13,7 +13,6 @@ no rounding can creep into a verdict.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -179,44 +178,6 @@ def improving_moves(positions, weights, targets, own, other, agents=None):
         for t in targets[a]:
             if t != loc and other[t] * own_here > other_here * (own[t] + w):
                 yield a, loc, t
-
-
-class GroupIndex:
-    """The lowest id of each group of one side's agents, kept across moves.
-
-    A group is the agents at one location with one fixed class: for a
-    miller her weight, for a baker her range and weight. Two agents of a
-    group have the same improving moves with the same gains, so scanning
-    ``reps``, the ascending list of every group's lowest id, with
-    `improving_moves` finds each move in its first place in the full scan
-    order. ``move`` keeps ``reps`` exact, in place, in O(group size +
-    groups) list work.
-    """
-
-    def __init__(self, positions, classes):
-        self._classes = tuple(classes)
-        self._members: dict[tuple, list[int]] = {}
-        for a, key in enumerate(zip(positions, self._classes)):
-            self._members.setdefault(key, []).append(a)
-        self.reps = sorted(group[0] for group in self._members.values())
-
-    def move(self, agent: int, origin: int, target: int) -> None:
-        """Agent ``agent`` moved from location ``origin`` to ``target``."""
-        cls = self._classes[agent]
-        group = self._members[origin, cls]
-        if group[0] == agent:
-            del self.reps[bisect_left(self.reps, agent)]
-            if len(group) > 1:
-                insort(self.reps, group[1])
-        group.remove(agent)
-        if not group:
-            del self._members[origin, cls]
-        group = self._members.setdefault((target, cls), [])
-        insort(group, agent)
-        if group[0] == agent:
-            if len(group) > 1:
-                del self.reps[bisect_left(self.reps, group[1])]
-            insort(self.reps, agent)
 
 
 def occupancy(instance: Instance, profile: StrategyProfile) -> Occupancy:

@@ -10,6 +10,7 @@ the tests and the command line.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from .dynamics import ScriptedMove, WeightedInstance
@@ -124,6 +125,8 @@ def gen_poa_family(num_bakers: int) -> tuple[Instance, dict[str, StrategyProfile
     """
     if num_bakers < 1:
         raise GameError("the family needs at least one baker")
+    if num_bakers > sys.maxsize:
+        raise GameError(f"the family cannot hold more than {sys.maxsize} bakers")
     locations = ("x",) + tuple(f"l{i + 1}" for i in range(num_bakers))
     instance = Instance(
         locations=locations,
@@ -146,6 +149,9 @@ def gen_pos_family(n: int, num_locations: int, num_millers: int) -> tuple[Instan
     """
     if n < 1 or num_locations < 1 or num_millers < 1:
         raise GameError("family parameters must be positive")
+    # the baker count exceeds every parameter, so this bounds them all
+    if n * (num_millers + num_locations - 1) + 1 > sys.maxsize:
+        raise GameError(f"the family cannot hold more than {sys.maxsize} bakers")
     locations = ("x",) + tuple(f"l{i + 2}" for i in range(num_locations - 1))
     hub = n * num_millers + 1
     ranges = [(0,)] * hub

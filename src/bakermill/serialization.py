@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 
 from .dynamics import ScriptedMove, WeightedInstance
 from .model import GameError, Instance, StrategyProfile, _is_location_name
@@ -51,12 +52,20 @@ def _positive_int(value, context: str) -> int:
     return value
 
 
-def parse_instance(text: str):
-    """Parse a JSON instance document; returns Instance or WeightedInstance."""
+def _load_json(text: str):
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except ValueError:  # an integer past Python's int_max_str_digits
+        raise ParseError("an integer literal holds too many digits") from None
+    except RecursionError:
+        raise ParseError("arrays or objects nested too deeply") from None
+
+
+def parse_instance(text: str):
+    """Parse a JSON instance document; returns Instance or WeightedInstance."""
+    data = _load_json(text)
     if not isinstance(data, dict):
         raise ParseError("document: expected an object at the top level")
 
@@ -87,7 +96,11 @@ def parse_instance(text: str):
             _positive_int(w, f"millers[{i}]") for i, w in enumerate(millers)
         )
     else:
-        miller_weights = (1,) * _positive_int(millers, "millers")
+        count = _positive_int(millers, "millers")
+        # checked before the tuple is built, which could not index more
+        if count > sys.maxsize:
+            raise ParseError(f"millers: a count above {sys.maxsize} is too large")
+        miller_weights = (1,) * count
 
     bakers_data = _require(data, "bakers", "document")
     if not isinstance(bakers_data, list) or not bakers_data:
@@ -163,10 +176,7 @@ def _base_instance(obj) -> Instance:
 def parse_profile(text: str, obj) -> StrategyProfile:
     """Parse a profile document and validate it against the instance."""
     instance = _base_instance(obj)
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    data = _load_json(text)
     if not isinstance(data, dict):
         raise ParseError("profile: expected an object at the top level")
     index = {name: i for i, name in enumerate(instance.locations)}

@@ -6,7 +6,9 @@ rebuilds the whole state signature with ``state_signature``. That costs
 O(n + m) per move on top of the scan, but it shares no incremental state
 with ``bakermill.dynamics.run_dynamics``, which keeps the sums and the
 signature across steps and compares gains as integer pairs; it serves as
-the ground truth for every move, state, status and revisit index.
+the ground truth for every move, state, status and revisit index. It keeps
+every profile of the run as it goes and returns that list next to the
+trace, so the trace's replayed ``states`` can be checked against it.
 """
 
 from __future__ import annotations
@@ -123,8 +125,9 @@ def run_dynamics(
     policy: str = "first",
     step_budget: int = 1000,
     script=None,
-) -> DynamicsTrace:
-    """Iterate improving moves until stability, a revisit, or the budget.
+) -> tuple[DynamicsTrace, tuple[StrategyProfile, ...]]:
+    """Iterate improving moves until stability, a revisit, or the budget;
+    returns the trace and every profile of the run, the start first.
 
     A start that does not fit the instance raises InvalidProfileError.
     With ``policy="scripted"`` the moves come from ``script`` (at most
@@ -175,4 +178,4 @@ def run_dynamics(
             status = "converged-to-NE"
         else:
             status = "step-budget-exhausted"
-    return DynamicsTrace(start, tuple(moves), tuple(states), status, revisit)
+    return DynamicsTrace(start, tuple(moves), status, revisit), tuple(states)

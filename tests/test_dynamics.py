@@ -35,7 +35,7 @@ from bakermill import (
     trace_lines,
     weighted_utilities,
 )
-from bakermill.model import GroupIndex
+from bakermill.dynamics import _sides
 from conftest import DYNAMICS_SEED, fresh_rng, random_instance, random_profile
 from reference_dynamics import run_dynamics as reference_run_dynamics
 
@@ -512,7 +512,8 @@ def test_traces_match_reference_dynamics():
         budget = rng.randint(1, 60)
         for policy in ("first", "best"):
             trace = run_dynamics(w, start, policy=policy, step_budget=budget)
-            assert trace == reference_run_dynamics(w, start, policy=policy, step_budget=budget)
+            assert (trace, trace.states) == reference_run_dynamics(w, start, policy=policy,
+                                                                   step_budget=budget)
             assert_revisit_is_first_repeat(w, trace)
             statuses[policy, trace.status] += 1
     # both budget endings under both policies; no seeded run of these sizes
@@ -528,7 +529,8 @@ def test_fig7_script_prefixes_match_reference_dynamics(fig7):
     script = fig7_cycle_script()
     for end in range(1, len(script) + 1):
         trace = run_dynamics(w, start, policy="scripted", script=script[:end])
-        assert trace == reference_run_dynamics(w, start, policy="scripted", script=script[:end])
+        assert (trace, trace.states) == reference_run_dynamics(w, start, policy="scripted",
+                                                               script=script[:end])
         assert_revisit_is_first_repeat(w, trace)
     assert trace.status == "cycle-detected"
 
@@ -582,7 +584,8 @@ def test_traces_match_reference_dynamics_with_many_agents_per_group():
         budget = rng.randint(1, 40)
         for policy in ("first", "best"):
             trace = run_dynamics(w, start, policy=policy, step_budget=budget)
-            assert trace == reference_run_dynamics(w, start, policy=policy, step_budget=budget)
+            assert (trace, trace.states) == reference_run_dynamics(w, start, policy=policy,
+                                                                   step_budget=budget)
             for state in trace.states[:len(trace.moves)]:
                 shadowed_steps[policy] += non_representative_can_move(w, state)
     for policy in ("first", "best"):
@@ -590,8 +593,9 @@ def test_traces_match_reference_dynamics_with_many_agents_per_group():
 
 
 def test_group_index_stays_exact_across_moves():
-    # replays seeded traces through one index per side and rebuilds the
-    # representatives after every move
+    # replays seeded traces through one grouped side record per side and,
+    # after every move, rebuilds the representatives and, from a fresh
+    # record of the new state, the positions, sums and cells
     rng = fresh_rng(DYNAMICS_SEED + 5)
     moves = Counter()
     for k in range(200):
@@ -602,19 +606,18 @@ def test_group_index_stays_exact_across_moves():
             w = WeightedInstance(inst, tuple(rng.randint(1, 3) for _ in range(inst.num_bakers)),
                                  tuple(rng.randint(1, 3) for _ in range(inst.num_millers)))
         start = random_profile(rng, w.instance)
-        sides = {
-            "miller": (lambda state: state.miller_locations, w.miller_weights),
-            "baker": (lambda state: state.baker_locations,
-                      tuple(zip(w.instance.bakers, w.baker_weights))),
-        }
+        classes = {"miller": w.miller_weights,
+                   "baker": tuple(zip(w.instance.bakers, w.baker_weights))}
         for policy in ("first", "best"):
             trace = run_dynamics(w, start, policy=policy, step_budget=40)
-            index = {kind: GroupIndex(positions(start), classes)
-                     for kind, (positions, classes) in sides.items()}
+            sides = dict(zip(("miller", "baker"), _sides(w, start, grouped=True)))
             for move, state in zip(trace.moves, trace.states[1:]):
-                index[move.kind].move(move.agent, move.origin, move.target)
-                for kind, (positions, classes) in sides.items():
-                    assert index[kind].reps == lowest_ids(positions(state), classes)
+                sides[move.kind].move(move.agent, move.target)
+                fresh = dict(zip(("miller", "baker"), _sides(w, state)))
+                for kind, side in sides.items():
+                    assert side.reps == lowest_ids(fresh[kind].positions, classes[kind])
+                    assert (side.positions, side.sums, side.cells) == (
+                        fresh[kind].positions, fresh[kind].sums, fresh[kind].cells)
                 moves[policy, move.kind] += 1
     for policy in ("first", "best"):
         for kind in ("miller", "baker"):

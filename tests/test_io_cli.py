@@ -5,6 +5,7 @@ exit codes follow the convention 0 ok, 1 error, 2 oracle refusal.
 """
 
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from bakermill import (
     EXAMPLE_TAGS,
+    GameError,
     Instance,
     InvalidInstanceError,
     ParseError,
@@ -166,12 +168,99 @@ def test_digest_ignores_range_order_and_repeats(data):
             ' [{"range": ["x"]}]}',
             "millers",
         ),
+        # counts that could not index a tuple fail before any allocation
+        pytest.param(
+            '{"version": 1, "locations": ["x"], "millers": %d, "bakers":'
+            ' [{"range": ["x"]}]}' % 10**30,
+            "millers: a count above", id="millers-1e30",
+        ),
+        pytest.param(
+            '{"version": 1, "locations": ["x"], "millers": %d, "bakers":'
+            ' [{"range": ["x"]}]}' % (sys.maxsize + 1),
+            "millers: a count above", id="millers-maxsize+1",
+        ),
+        # past Python's default limit of 4300 digits for reading an integer
+        pytest.param("1" * 5000, "too many digits", id="integer-literal-too-long"),
+        pytest.param("[" * 100_000, "nested too deeply", id="nested-too-deeply"),
     ],
 )
 def test_parse_instance_error_context(text, needle):
     with pytest.raises(ParseError) as err:
         parse_instance(text)
     assert needle in str(err.value)
+
+
+@pytest.mark.parametrize("size", [10**30, sys.maxsize + 1], ids=["1e30", "maxsize+1"])
+def test_family_sizes_that_could_not_index_a_tuple_are_refused(size):
+    for args in ((size, 1, 1), (1, size, 1), (1, 1, size)):
+        with pytest.raises(GameError, match="more than"):
+            gen_pos_family(*args)
+    with pytest.raises(GameError, match="more than"):
+        gen_poa_family(size)
+    # every parameter fits, but the baker count they make does not
+    with pytest.raises(GameError, match="more than"):
+        gen_pos_family(2**32, 2**32, 1)
+
+
+# Values that replace a node of a parsed document: the integers are far
+# beyond any count the library can allocate.
+HUGE_INTS = st.sampled_from((10**30, -(10**30), sys.maxsize + 1, 2**64, 10**4000))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | HUGE_INTS | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=6,
+)
+
+
+@st.composite
+def mutated(draw, node):
+    """``node`` with one nested node replaced by a huge integer, another
+    JSON value or itself wrapped in a list or an object, or dropped."""
+    if isinstance(node, (dict, list)) and node and draw(st.booleans()):
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        copy = dict(node) if isinstance(node, dict) else list(node)
+        if draw(st.integers(0, 4)) == 0:
+            del copy[key]
+        else:
+            copy[key] = draw(mutated(node[key]))
+        return copy
+    return draw(st.one_of(HUGE_INTS, JSON_VALUES, st.just([node]), st.just({"x": node})))
+
+
+def _script_text(lines) -> str:
+    """One line per entry of a list, its tokens joined by spaces."""
+    if not isinstance(lines, list):
+        return str(lines)
+    return "\n".join(" ".join(map(str, line)) if isinstance(line, list) else str(line)
+                     for line in lines)
+
+
+FIG2 = example_instance("fig2").instance
+FIG2_PROFILE = '{"bakers": ["x", "x", "x", "y"], "millers": ["x", "x"]}'
+FIG7 = example_instance("fig7").instance
+FIG7_SCRIPT = serialize_script(example_instance("fig7").script, FIG7)
+# (document as parsed JSON or as token lines, its rendering, its parser)
+FUZZ_TARGETS = {
+    "instance": (json.loads(serialize_instance(FIG2)), json.dumps, parse_instance),
+    "profile": (json.loads(FIG2_PROFILE), json.dumps, lambda text: parse_profile(text, FIG2)),
+    "script": ([line.split() for line in FIG7_SCRIPT.splitlines()], _script_text,
+               lambda text: parse_script(text, FIG7)),
+}
+
+
+@pytest.mark.parametrize("target", FUZZ_TARGETS)
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_documents_fail_only_with_game_errors(target, data):
+    document, render, parse = FUZZ_TARGETS[target]
+    for _ in range(data.draw(st.integers(1, 3))):
+        document = data.draw(mutated(document))
+    text = render(document)
+    try:
+        parse(text)
+    except GameError:
+        pass
 
 
 @pytest.mark.parametrize("name", ["a b", "a#b", "a\tb", "a\u2028b"])
@@ -405,7 +494,6 @@ def test_cli_coverage_sets_need_integer_items(sets, tmp_path, capsys):
     assert not out.exists()
 
 
-FIG2_PROFILE = '{"bakers": ["x", "x", "x", "y"], "millers": ["x", "x"]}'
 NESTED_NAME_INSTANCE = '{"version": 1, "locations": ["x"], "millers": 1, "bakers": [{"range": [["x"]]}]}'
 NESTED_NAME_PROFILE = '{"bakers": [["x"], "x", "x", "y"], "millers": ["x", "x"]}'
 
@@ -458,6 +546,18 @@ BAD_INPUTS = {
                            {"bad.script": "miller x y 0"}, "line 1: weight must be positive"),
     "script-stays-put": (["dynamics", "fig2.json", "--script", "bad.script"],
                          {"bad.script": "miller x x"}, "a move must change location"),
+    **{
+        f"millers-{label}": (["solve", "bad.json"], {"bad.json": _doc(millers=count)},
+                             "millers: a count above")
+        for label, count in (("1e30", 10**30), ("maxsize+1", sys.maxsize + 1))
+    },
+    **{
+        f"generate-{family}-{flag.lstrip('-')}-{label}": (["generate", family, flag, str(size)], {},
+                                              "the family cannot hold more than")
+        for family, flag in (("poa", "--bakers"), ("pos", "--n"), ("pos", "--locations"),
+                             ("pos", "--millers"))
+        for label, size in (("1e30", 10**30), ("maxsize+1", sys.maxsize + 1))
+    },
     "sets-not-json": (["generate", "coverage-opt", "--sets", "["], {}, "--sets: Expecting value"),
     "sets-not-nested": (["generate", "coverage-opt", "--sets", "[1]"], {},
                         "--sets: expected a list of lists of integers"),
