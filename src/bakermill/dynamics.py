@@ -79,31 +79,41 @@ class ScriptedMove:
     weight: int | None = None
 
 
+class _Replayed:
+    """`DynamicsTrace.states`: the profiles given or, by default, every
+    profile of the run, rebuilt on each read from ``initial`` and ``moves``."""
+
+    def __set__(self, trace, states):
+        trace.__dict__["_states"] = states
+
+    def __get__(self, trace, owner=None):
+        if trace is None:
+            return None  # the field's default
+        if trace._states is not None:
+            return trace._states
+        bakers, millers = list(trace.initial.baker_locations), list(trace.initial.miller_locations)
+        states = [trace.initial]
+        for move in trace.moves:
+            (bakers if move.kind == "baker" else millers)[move.agent] = move.target
+            states.append(StrategyProfile(bakers, millers))
+        return tuple(states)
+
+
 @dataclass(frozen=True)
 class DynamicsTrace:
     """A run's start, its moves and how it ended.
 
     ``status`` is converged-to-NE, cycle-detected or step-budget-exhausted;
     ``revisit_index`` is the index in ``states`` of the state the last move
-    returned to, or None.
+    returned to, or None. ``states[0]`` is ``initial``; `run_dynamics`
+    passes no ``states``, so a run stores no profile per step.
     """
 
     initial: StrategyProfile
     moves: tuple[Move, ...]
     status: str
     revisit_index: int | None
-
-    @property
-    def states(self) -> tuple[StrategyProfile, ...]:
-        """Every profile of the run, ``states[0]`` being ``initial``,
-        rebuilt by replaying ``moves`` on ``initial``."""
-        positions = {"baker": list(self.initial.baker_locations),
-                     "miller": list(self.initial.miller_locations)}
-        states = [self.initial]
-        for move in self.moves:
-            positions[move.kind][move.agent] = move.target
-            states.append(StrategyProfile(positions["baker"], positions["miller"]))
-        return tuple(states)
+    states: tuple[StrategyProfile, ...] | None = _Replayed()
 
 
 class _Side:
@@ -196,8 +206,12 @@ def weighted_utilities(winstance: WeightedInstance, profile: StrategyProfile):
 
 def state_signature(winstance: WeightedInstance, profile: StrategyProfile):
     """Canonical state with agent identities forgotten, locations kept."""
-    millers, bakers = _sides(winstance, profile)
-    return tuple(zip(bakers.cells, millers.cells))
+    cells = [([], []) for _ in range(winstance.instance.num_locations)]
+    for b, loc in enumerate(profile.baker_locations):
+        cells[loc][0].append(winstance.baker_weights[b])
+    for m, loc in enumerate(profile.miller_locations):
+        cells[loc][1].append(winstance.miller_weights[m])
+    return tuple((tuple(sorted(bakers)), tuple(sorted(millers))) for bakers, millers in cells)
 
 
 def _move(kind, agent, origin, target, weight, own, other) -> Move:
@@ -263,11 +277,8 @@ def _apply_scripted(winstance, millers: _Side, bakers: _Side, scripted) -> Move:
 
     side, other = (millers, bakers.sums) if scripted.kind == "miller" else (bakers, millers.sums)
     own, weights = side.sums, side.weights
-    agent = None
-    for a, loc in enumerate(side.positions):
-        if loc == scripted.origin and (scripted.weight is None or weights[a] == scripted.weight):
-            agent = a
-            break
+    agent = next((a for a, loc in enumerate(side.positions)
+                  if loc == scripted.origin and scripted.weight in (None, weights[a])), None)
     if agent is None:
         detail = "" if scripted.weight is None else f" of weight {scripted.weight}"
         raise ScriptError(
@@ -353,10 +364,8 @@ def run_dynamics(
             break
         seen[key] = len(moves)
     if status is None:
-        if _step(millers, bakers, "first") is None:
-            status = "converged-to-NE"
-        else:
-            status = "step-budget-exhausted"
+        stable = _step(millers, bakers, "first") is None
+        status = "converged-to-NE" if stable else "step-budget-exhausted"
     return DynamicsTrace(start, tuple(moves), status, revisit)
 
 

@@ -5,6 +5,7 @@ moves come back to the exact starting state after three passes (21 moves),
 while a single 7-move pass lands on a location-rotated copy of the start.
 """
 
+import dataclasses
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from bakermill import (
     GameError,
+    DynamicsTrace,
     Instance,
     InvalidProfileError,
     ScriptError,
@@ -241,6 +243,16 @@ def test_consecutive_states_differ_by_one_agent(fig7):
             if a != b
         )
         assert diffs == 1
+
+
+def test_trace_states_are_replayed_unless_given(fig7):
+    trace = run_dynamics(fig7.instance, fig7.profiles["start"], policy="scripted",
+                         script=fig7_cycle_script())
+    assert trace.states[0] == trace.initial and len(trace.states) == len(trace.moves) + 1
+    assert trace == DynamicsTrace(trace.initial, trace.moves, trace.status, trace.revisit_index)
+    given = dataclasses.replace(trace, states=(trace.initial,))
+    assert given.states == (trace.initial,) and given != trace
+    assert dataclasses.replace(given, moves=()).states == (trace.initial,)
 
 
 def test_script_errors_name_the_step(fig7):
@@ -594,8 +606,8 @@ def test_traces_match_reference_dynamics_with_many_agents_per_group():
 
 def test_group_index_stays_exact_across_moves():
     # replays seeded traces through one grouped side record per side and,
-    # after every move, rebuilds the representatives and, from a fresh
-    # record of the new state, the positions, sums and cells
+    # after every move, checks it against the representatives, sums and
+    # cells of the new state rebuilt from scratch, without a side record
     rng = fresh_rng(DYNAMICS_SEED + 5)
     moves = Counter()
     for k in range(200):
@@ -613,11 +625,14 @@ def test_group_index_stays_exact_across_moves():
             sides = dict(zip(("miller", "baker"), _sides(w, start, grouped=True)))
             for move, state in zip(trace.moves, trace.states[1:]):
                 sides[move.kind].move(move.agent, move.target)
-                fresh = dict(zip(("miller", "baker"), _sides(w, state)))
+                sig = state_signature(w, state)
+                fresh = {"miller": (state.miller_locations, [c for _, c in sig]),
+                         "baker": (state.baker_locations, [c for c, _ in sig])}
                 for kind, side in sides.items():
-                    assert side.reps == lowest_ids(fresh[kind].positions, classes[kind])
+                    positions, cells = fresh[kind]
+                    assert side.reps == lowest_ids(positions, classes[kind])
                     assert (side.positions, side.sums, side.cells) == (
-                        fresh[kind].positions, fresh[kind].sums, fresh[kind].cells)
+                        list(positions), [sum(cell) for cell in cells], cells)
                 moves[policy, move.kind] += 1
     for policy in ("first", "best"):
         for kind in ("miller", "baker"):
