@@ -277,8 +277,11 @@ def _apply_scripted(winstance, millers: _Side, bakers: _Side, scripted) -> Move:
 
     side, other = (millers, bakers.sums) if scripted.kind == "miller" else (bakers, millers.sums)
     own, weights = side.sums, side.weights
-    agent = next((a for a, loc in enumerate(side.positions)
-                  if loc == scripted.origin and scripted.weight in (None, weights[a])), None)
+    agent = None
+    for a, loc in enumerate(side.positions):
+        if loc == scripted.origin and (scripted.weight is None or weights[a] == scripted.weight):
+            agent = a
+            break
     if agent is None:
         detail = "" if scripted.weight is None else f" of weight {scripted.weight}"
         raise ScriptError(
@@ -364,8 +367,10 @@ def run_dynamics(
             break
         seen[key] = len(moves)
     if status is None:
-        stable = _step(millers, bakers, "first") is None
-        status = "converged-to-NE" if stable else "step-budget-exhausted"
+        if _step(millers, bakers, "first") is None:
+            status = "converged-to-NE"
+        else:
+            status = "step-budget-exhausted"
     return DynamicsTrace(start, tuple(moves), status, revisit)
 
 
