@@ -197,10 +197,12 @@ def weighted_utilities(winstance: WeightedInstance, profile: StrategyProfile):
 
     Returns ``(baker_utilities, miller_utilities)`` indexed by agent id.
     """
-    millers, bakers = _sides(winstance, profile)
+    num_locations = winstance.instance.num_locations
+    millers = location_sums(num_locations, profile.miller_locations, winstance.miller_weights)
+    bakers = location_sums(num_locations, profile.baker_locations, winstance.baker_weights)
     return (
-        tuple(Fraction(millers.sums[loc], bakers.sums[loc]) for loc in profile.baker_locations),
-        tuple(Fraction(bakers.sums[loc], millers.sums[loc]) for loc in profile.miller_locations),
+        tuple(Fraction(millers[loc], bakers[loc]) for loc in profile.baker_locations),
+        tuple(Fraction(bakers[loc], millers[loc]) for loc in profile.miller_locations),
     )
 
 

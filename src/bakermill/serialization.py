@@ -95,12 +95,14 @@ def parse_instance(text: str):
         miller_weights = tuple(
             _positive_int(w, f"millers[{i}]") for i, w in enumerate(millers)
         )
+        num_millers = len(miller_weights)
     else:
-        count = _positive_int(millers, "millers")
-        # checked before the tuple is built, which could not index more
-        if count > sys.maxsize:
+        # a count builds no weight tuple unless the game is weighted; a profile
+        # holds one entry per miller, so a count past sys.maxsize is refused
+        miller_weights = ()
+        num_millers = _positive_int(millers, "millers")
+        if num_millers > sys.maxsize:
             raise ParseError(f"millers: a count above {sys.maxsize} is too large")
-        miller_weights = (1,) * count
 
     bakers_data = _require(data, "bakers", "document")
     if not isinstance(bakers_data, list) or not bakers_data:
@@ -122,46 +124,45 @@ def parse_instance(text: str):
         ranges.append(tuple(resolved))
         baker_weights.append(_positive_int(entry.get("weight", 1), f"{context}.weight"))
 
-    instance = Instance(tuple(locations), len(miller_weights), tuple(ranges))
-    weighted = any(w != 1 for w in baker_weights) or any(
-        w != 1 for w in miller_weights
-    )
-    if weighted:
-        return WeightedInstance(instance, tuple(baker_weights), miller_weights)
+    instance = Instance(tuple(locations), num_millers, tuple(ranges))
+    if any(w != 1 for w in baker_weights) or any(w != 1 for w in miller_weights):
+        return WeightedInstance(
+            instance, tuple(baker_weights), miller_weights or (1,) * num_millers
+        )
     return instance
 
 
-def instance_to_data(obj) -> dict:
-    if isinstance(obj, WeightedInstance):
-        instance = obj.instance
-        baker_weights = obj.baker_weights
-        miller_weights = obj.miller_weights
-    else:
-        instance = obj
-        baker_weights = (1,) * instance.num_bakers
-        miller_weights = (1,) * instance.num_millers
-    names = instance.locations
-    bakers = []
-    for rng, weight in zip(instance.bakers, baker_weights):
-        entry: dict = {"range": [names[loc] for loc in rng]}
-        if weight != 1:
-            entry["weight"] = weight
-        bakers.append(entry)
-    millers = (
-        list(miller_weights)
-        if any(w != 1 for w in miller_weights)
-        else len(miller_weights)
-    )
-    return {
-        "version": SCHEMA_VERSION,
-        "locations": list(names),
-        "millers": millers,
-        "bakers": bakers,
-    }
+def _json_array(items, indent: str) -> str:
+    """A JSON array of already-encoded ``items``, laid out as
+    ``json.dumps(..., indent=2)`` lays it out with its bracket at ``indent``."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
 
 
 def serialize_instance(obj) -> str:
-    return json.dumps(instance_to_data(obj), indent=2) + "\n"
+    """The canonical document, the text of ``json.dumps(data, indent=2)`` and a
+    newline, written directly, as json's indenting encoder is pure Python."""
+    instance = _base_instance(obj)
+    names = [json.dumps(name) for name in instance.locations]
+    weighted = isinstance(obj, WeightedInstance)
+    baker_weights = obj.baker_weights if weighted else (1,) * instance.num_bakers
+    miller_weights = obj.miller_weights if weighted else ()
+    if any(w != 1 for w in miller_weights):
+        millers = _json_array([str(w) for w in miller_weights], "  ")
+    else:
+        millers = str(instance.num_millers)
+    bakers = []
+    for rng, weight in zip(instance.bakers, baker_weights):
+        entry = '{\n      "range": ' + _json_array([names[loc] for loc in rng], "      ")
+        if weight != 1:
+            entry += ',\n      "weight": ' + str(weight)
+        bakers.append(entry + "\n    }")
+    return (
+        f'{{\n  "version": {SCHEMA_VERSION},\n  "locations": {_json_array(names, "  ")},\n'
+        f'  "millers": {millers},\n  "bakers": {_json_array(bakers, "  ")}\n}}\n'
+    )
 
 
 def instance_digest(obj) -> str:
@@ -205,13 +206,10 @@ def parse_profile(text: str, obj) -> StrategyProfile:
 
 
 def serialize_profile(profile: StrategyProfile, obj) -> str:
-    instance = _base_instance(obj)
-    names = instance.locations
-    data = {
-        "bakers": [names[loc] for loc in profile.baker_locations],
-        "millers": [names[loc] for loc in profile.miller_locations],
-    }
-    return json.dumps(data, indent=2) + "\n"
+    names = [json.dumps(name) for name in _base_instance(obj).locations]
+    bakers = _json_array([names[loc] for loc in profile.baker_locations], "  ")
+    millers = _json_array([names[loc] for loc in profile.miller_locations], "  ")
+    return f'{{\n  "bakers": {bakers},\n  "millers": {millers}\n}}\n'
 
 
 def parse_script(text: str, obj) -> tuple[ScriptedMove, ...]:

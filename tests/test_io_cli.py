@@ -6,18 +6,21 @@ exit codes follow the convention 0 ok, 1 error, 2 oracle refusal.
 
 import json
 import sys
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bakermill import (
     EXAMPLE_TAGS,
+    CoverageProblem,
     GameError,
     Instance,
     InvalidInstanceError,
     ParseError,
     ScriptedMove,
+    StrategyProfile,
     WeightedInstance,
     example_instance,
     gen_poa_family,
@@ -26,12 +29,17 @@ from bakermill import (
     parse_instance,
     parse_profile,
     parse_script,
+    reduce_to_optimum_instance,
     serialize_instance,
     serialize_profile,
     serialize_script,
 )
 from bakermill.cli import main
 from conftest import IO_SEED, fresh_rng, random_instance, random_profile
+from reference_serialization import (
+    reference_serialize_instance,
+    reference_serialize_profile,
+)
 
 
 def base_of(obj):
@@ -136,6 +144,45 @@ def test_digest_ignores_range_order_and_repeats(data):
     same = Instance(inst.locations, inst.num_millers, tuple(shuffled))
     assert same == inst
     assert instance_digest(same) == instance_digest(inst)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(instances(), weighted_instances(), instances().map(WeightedInstance.uniform)))
+@example(WeightedInstance(Instance(('"', "\\", "é", "\x00", "☃"), 2, ((0, 1), (2, 3, 4))),
+                          (1, 2), (3, 1)))
+def test_serialization_matches_the_json_reference(obj):
+    # NAMES draw control and non-ASCII characters, the example adds quotes and
+    # backslashes; weights of 1-3 give all-unit games, weighted bakers and
+    # miller weight lists
+    assert serialize_instance(obj) == reference_serialize_instance(obj)
+    inst = base_of(obj)
+    profile = StrategyProfile(tuple(rng[-1] for rng in inst.bakers),
+                              tuple(m % inst.num_locations for m in range(inst.num_millers)))
+    for prof in (profile, StrategyProfile((), ())):
+        assert serialize_profile(prof, obj) == reference_serialize_profile(prof, obj)
+
+
+def test_instance_digests_are_pinned():
+    pinned = {"fig1": "7fcb85e8c59080cf", "fig2": "d855ace557bf2888", "fig3": "742eef7cd479deeb",
+              "fig6": "3d7cdf31752b09c6", "fig7": "904ffa343ee042fe"}
+    assert {tag: instance_digest(example_instance(tag).instance) for tag in EXAMPLE_TAGS} == pinned
+    rng = fresh_rng(IO_SEED)
+    sets = tuple(tuple(rng.sample(range(300), rng.randint(5, 40))) for _ in range(20))
+    reduction = reduce_to_optimum_instance(CoverageProblem(sets, 4))
+    assert reduction.instance.num_bakers == 239
+    assert instance_digest(reduction.instance) == "77979663e8afe9d2"
+
+
+def test_a_miller_count_builds_no_weight_tuple():
+    text = _doc(millers=10**7)
+    tracemalloc.start()
+    try:
+        inst = parse_instance(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inst.num_millers == 10**7
+    assert peak < 2**20  # a weight tuple of that count would take 80 MB
 
 
 @pytest.mark.parametrize(
